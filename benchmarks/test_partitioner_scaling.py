@@ -120,7 +120,8 @@ def test_vectorized_solver_speedup_gate(heterogeneous_models):
     from repro.core.partition import partition_fpm_scalar
 
     total = 1e6
-    # warm the per-model row caches so both paths time pure solves
+    # warm the batch cache and the scalar path's per-model rows so both
+    # paths time pure solves
     partition_fpm(heterogeneous_models, total)
     partition_fpm_scalar(heterogeneous_models, total)
 

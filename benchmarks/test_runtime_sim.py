@@ -7,7 +7,7 @@ bit-identity suite so the fast path cannot buy speed with drift:
   a 10,000-device x 100-panel simulated matmul run
   (tests/runtime/test_panel_loop.py holds the lanes bit-identical);
 * a warm :meth:`Solver.resolve` after a handful of model refreshes must
-  hold >= 3x over the cold solve it replaces at 10,000 devices
+  hold >= 1.5x over the cold solve it replaces at 10,000 devices
   (tests/core/test_resolve.py holds exact mode bit-identical).
 """
 
@@ -94,7 +94,9 @@ def test_runtime_sim_speedup_gate(cluster_models, cluster_allocations):
             engine=engine,
         )
 
-    run("vector")  # warm model row caches for both lanes
+    # warm the batch cache; the scalar lane, timed once, also pays for
+    # building its per-model rows
+    run("vector")
 
     vector = _best_of(lambda: run("vector"), reps=3)
     start = time.perf_counter()
@@ -130,13 +132,20 @@ def test_warm_resolve_10000_devices(benchmark, cluster_models):
 
 
 def test_warm_resolve_speedup_gate(cluster_models):
-    """Warm resolve >= 3x over the cold solve it replaces at p=10,000.
+    """Warm resolve >= 1.5x over the cold solve it replaces at p=10,000.
 
     Each cold rep uses a freshly perturbed model list so the batch cache
     (keyed on model identity) cannot serve it a pre-stacked batch — the
     comparison is against what a cold caller actually pays.  Exact mode
     keeps warm allocations bit-identical to the cold ones
     (tests/core/test_resolve.py), so the ratio is pure restacking cost.
+
+    Measured best-of-3 on a 2-vCPU x86 VM (Python 3.11, NumPy 2.4): warm
+    8.9-9.8 ms, cold 27.9-28.1 ms, ratio 2.86-3.13x.  The cold side used
+    to stack rows model by model (cold 48-49 ms, ratio 4.8-5.0x); since
+    stacking became one NumPy pass per sample count, most of what the
+    warm path saves is gone, so the gate only demands that warm still
+    wins with a margin for a noisy machine.
     """
     solver = Solver()
     previous = solver.solve(cluster_models, 1e7)
@@ -166,7 +175,7 @@ def test_warm_resolve_speedup_gate(cluster_models):
 
         assert warm_result.allocations == cold_result.allocations
 
-    assert cold / warm >= 3.0, (
+    assert cold / warm >= 1.5, (
         f"warm resolve speedup degraded: {cold / warm:.2f}x "
         f"(warm {warm * 1e3:.2f} ms, cold {cold * 1e3:.2f} ms)"
     )

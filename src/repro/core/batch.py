@@ -13,7 +13,8 @@ rational, so each model's inverse time is closed-form once the crossing
 segment is known.  :class:`BatchSpeedModels` precomputes, per model, an
 **augmented segment table** — head, interior and tail segments in a
 uniform ``x(T) = clip(T * a / (1 - T * b), lo, hi)`` shape — and stacks
-the tables into padded matrices.  Evaluating all models at a finish time
+the tables into padded matrices, one NumPy pass per distinct sample
+count (:func:`_stack_rows`).  Evaluating all models at a finish time
 ``T`` is then: count crossed knots (one comparison over the knot-time
 matrix), gather each model's active row of the table (one fancy index),
 and apply the closed form elementwise.
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from itertools import chain
 
 import numpy as np
 
@@ -67,13 +69,39 @@ def asum(values) -> float:
 
 
 # --------------------------------------------------------------- model rows
-def _row_params(fn: SpeedFunction):
-    """Per-model solver row, cached on the speed function.
+def _padded(p: int, width: int):
+    """Uninitialised solver matrices for ``p`` models of up to ``width`` samples.
 
-    Returns ``(sizes, speeds, knot_times, table, monotone)`` where
-    ``table`` is the augmented segment table of shape ``(m + 1, 4)`` with
-    columns ``a, b, lo, hi``; row ``k`` is the active segment when
-    exactly ``k`` knot times lie strictly below the queried finish time:
+    ``(knot_times, sizes, speeds, table, nseg, caps, monotone)``; a
+    second knot column keeps the time kernel's interior gather in bounds
+    for single-sample models (its result is overridden anyway).
+    """
+    pad = max(width, 2)
+    return (
+        np.empty((p, pad)),
+        np.empty((p, pad)),
+        np.empty((p, pad)),
+        np.empty((p, width + 1, 4)),
+        np.empty(p, dtype=np.intp),
+        np.empty(p),
+        np.empty(p, dtype=bool),
+    )
+
+
+def _stack_rows(fns, out, at) -> None:
+    """Write the solver rows of ``fns`` into rows ``at`` of :func:`_padded` ``out``.
+
+    The one row formula of the solver.  Models are grouped by sample
+    count ``m``; each group's sizes and speeds become one ``(g, m)``
+    matrix, and knot times, segment slopes and intercepts, head and tail
+    rows, capacities and the monotone flag are computed for the whole
+    group with the same elementwise operations a single model would get.
+    So a 10 000-model build costs a handful of NumPy calls per distinct
+    sample count, not dozens per model.
+
+    Row ``k`` of a model's augmented segment table (columns
+    ``a, b, lo, hi``) is the active segment when exactly ``k`` knot
+    times lie strictly below the queried finish time:
 
     * ``k == 0`` — constant-speed head: ``x = T * s0`` capped at the
       first sample;
@@ -81,31 +109,78 @@ def _row_params(fn: SpeedFunction):
       form (``b`` is the speed slope, ``a`` the intercept);
     * ``k == m`` — tail: the bounded model's full range, or the
       constant-speed extension to infinity.
+
+    Every written row is padded too: +inf knots are never "crossed", and
+    table rows past a model's own tail (zeros) are never selected.
+    ``at`` must be ascending.
+    """
+    knot_times, sizes, speeds, table, nseg, caps, monotone = out
+    groups: dict[int, tuple[list[int], list[SpeedFunction]]] = {}
+    for row, fn in zip(at, fns):
+        rows, members = groups.setdefault(len(fn._sizes), ([], []))
+        rows.append(row)
+        members.append(fn)
+    for m, (rows, members) in groups.items():
+        g = len(members)
+        # the usual case (one sample count, or one replaced model) writes
+        # through a slice; fancy-index writes cost several times more
+        contiguous = rows[-1] - rows[0] == g - 1
+        idx = slice(rows[0], rows[-1] + 1) if contiguous else np.asarray(rows)
+        xs = np.fromiter(
+            chain.from_iterable(fn._sizes for fn in members), float, g * m
+        ).reshape(g, m)
+        ss = np.fromiter(
+            chain.from_iterable(fn._speeds for fn in members), float, g * m
+        ).reshape(g, m)
+        bounded = np.fromiter((fn.bounded for fn in members), bool, g)
+        kt = xs / ss
+        cap = np.where(bounded, xs[:, -1], np.inf)
+        slope = (ss[:, 1:] - ss[:, :-1]) / (xs[:, 1:] - xs[:, :-1])
+        rows_table = np.zeros((g, table.shape[1], 4))
+        # a: head s0, interior intercepts, tail s_last (0 when bounded)
+        rows_table[:, 0, 0] = ss[:, 0]
+        rows_table[:, 1:m, 0] = ss[:, :-1] - slope * xs[:, :-1]
+        rows_table[:, m, 0] = np.where(bounded, 0.0, ss[:, -1])
+        # b: interior slopes; head and tail are constant-speed
+        rows_table[:, 1:m, 1] = slope
+        # lo, hi: the head spans [0, x0], interior row k [x(k-1), x(k)],
+        # the tail [x_last, cap]
+        rows_table[:, 1 : m + 1, 2] = xs
+        rows_table[:, :m, 3] = xs
+        rows_table[:, m, 3] = cap
+        knot_times[idx, :m] = kt
+        knot_times[idx, m:] = np.inf
+        sizes[idx, :m] = xs
+        sizes[idx, m:] = np.inf
+        speeds[idx, :m] = ss
+        speeds[idx, m:] = 0.0
+        table[idx] = rows_table
+        nseg[idx] = m
+        caps[idx] = cap
+        monotone[idx] = (kt[:, 1:] >= kt[:, :-1] * (1.0 - 1e-12)).all(axis=1)
+
+
+def _row_params(fn: SpeedFunction):
+    """One model's solver row (the one-model case of :func:`_stack_rows`).
+
+    Returns ``(sizes, speeds, knot_times, table, monotone)`` with
+    ``table`` of shape ``(m + 1, 4)``; cached on the speed function,
+    because the scalar twins below query it once per model per call.
     """
     cached = getattr(fn, "_solver_row_cache", None)
     if cached is not None:
         return cached
-    sizes = fn._sizes_array()
-    speeds = fn._speeds_array()
-    knot_times = sizes / speeds
-    m = sizes.size
-    table = np.empty((m + 1, 4), dtype=float)
-    # head
-    table[0] = (speeds[0], 0.0, 0.0, sizes[0])
-    if m > 1:
-        slope = (speeds[1:] - speeds[:-1]) / (sizes[1:] - sizes[:-1])
-        intercept = speeds[:-1] - slope * sizes[:-1]
-        table[1:m, 0] = intercept
-        table[1:m, 1] = slope
-        table[1:m, 2] = sizes[:-1]
-        table[1:m, 3] = sizes[1:]
-    # tail
-    if fn.bounded:
-        table[m] = (0.0, 0.0, sizes[-1], sizes[-1])
-    else:
-        table[m] = (speeds[-1], 0.0, sizes[-1], math.inf)
-    monotone = bool(np.all(knot_times[1:] >= knot_times[:-1] * (1.0 - 1e-12)))
-    row = (sizes, speeds, knot_times, table, monotone)
+    m = len(fn._sizes)
+    out = _padded(1, m)
+    _stack_rows((fn,), out, (0,))
+    knot_times, sizes, speeds, table, _, _, monotone = out
+    row = (
+        sizes[0, :m],
+        speeds[0, :m],
+        knot_times[0, :m],
+        table[0],
+        bool(monotone[0]),
+    )
     object.__setattr__(fn, "_solver_row_cache", row)
     return row
 
@@ -173,40 +248,27 @@ class BatchSpeedModels:
     def __init__(self, fns: tuple[SpeedFunction, ...]):
         if not fns:
             raise ValueError("need at least one speed function")
+        out = _padded(len(fns), max(len(fn._sizes) for fn in fns))
+        _stack_rows(fns, out, range(len(fns)))
+        self._assign(fns, out)
+
+    def _assign(self, fns, out) -> None:
+        """Adopt stacked matrices (:func:`_padded` layout) for ``fns``."""
         self.fns = fns
-        p = len(fns)
-        self.count = p
-        rows = [_row_params(fn) for fn in fns]
-        m_max = max(r[0].size for r in rows)
-        # Padding never participates: +inf knots are never "crossed", and
-        # table rows past a model's own tail are never selected.  A second
-        # column keeps the time kernel's interior gather in bounds for
-        # single-sample models (its result is overridden anyway).
-        m_pad = max(m_max, 2)
-        self._kt = np.full((p, m_pad), np.inf)
-        self._sizes = np.full((p, m_pad), np.inf)
-        self._speeds = np.zeros((p, m_pad))
-        self._table = np.zeros((p, m_max + 1, 4))
-        self._nseg = np.empty(p, dtype=np.intp)
-        caps = np.empty(p, dtype=float)
-        irregular = []
-        for i, (fn, (sizes, speeds, knot_times, table, monotone)) in enumerate(
-            zip(fns, rows)
-        ):
-            m = sizes.size
-            self._kt[i, :m] = knot_times
-            self._sizes[i, :m] = sizes
-            self._speeds[i, :m] = speeds
-            self._table[i, : m + 1] = table
-            self._nseg[i] = m
-            caps[i] = sizes[-1] if fn.bounded else np.inf
-            if not monotone:
-                irregular.append(i)
-        self._caps = caps
-        self._rows = np.arange(p)
-        self._irregular = tuple(irregular)
+        self.count = len(fns)
+        (
+            self._kt,
+            self._sizes,
+            self._speeds,
+            self._table,
+            self._nseg,
+            self._caps,
+            monotone,
+        ) = out
+        self._rows = np.arange(self.count)
+        self._irregular = tuple(np.flatnonzero(~monotone).tolist())
         self._s_first = self._speeds[:, 0].copy()
-        self._s_last = np.array([r[1][-1] for r in rows])
+        self._s_last = self._speeds[self._rows, self._nseg - 1]
 
     @property
     def caps(self) -> np.ndarray:
@@ -221,17 +283,18 @@ class BatchSpeedModels:
 
         ``replacements`` maps model index to its new
         :class:`SpeedFunction`; ``dropped`` lists indices to remove (a
-        failed device, say).  Only the affected rows are rebuilt — the
-        rest of the stacked matrices are copied wholesale — so a
-        10 000-device re-solve after a handful of model refreshes skips
-        the per-model Python stacking loop entirely.  Every kernel of the
-        result is **bit-identical** to a fresh
-        ``BatchSpeedModels(new_fns)``: row padding beyond a model's own
-        samples never participates in any kernel (+inf knots are never
-        crossed, rows past the tail are never gathered), so inheriting
-        the parent's padding width is harmless.  A replacement with more
-        samples than the parent's padding can hold falls back to the full
-        rebuild — identical by construction, merely not incremental.
+        failed device, say).  Only the replacement rows are stacked (by
+        :func:`_stack_rows`, at the parent's padding width) — the rest of
+        the stacked matrices are copied wholesale — so a 10 000-device
+        re-solve after a handful of model refreshes touches only those
+        models.  Every kernel of the result is **bit-identical** to a
+        fresh ``BatchSpeedModels(new_fns)``: row padding beyond a model's
+        own samples never participates in any kernel (+inf knots are
+        never crossed, rows past the tail are never gathered), so
+        inheriting the parent's padding width is harmless.  A replacement
+        with more samples than the parent's padding can hold falls back
+        to the full rebuild — identical by construction, merely not
+        incremental.
 
         Returns ``self`` unchanged when there is nothing to do.
         """
@@ -258,77 +321,39 @@ class BatchSpeedModels:
             return self
 
         fns = list(self.fns)
-        new_rows = {i: _row_params(fn) for i, fn in reps.items()}
-        m_max = self._table.shape[1] - 1
-        if any(r[0].size > m_max for r in new_rows.values()):
-            for i, fn in reps.items():
-                fns[i] = fn
+        for i, fn in reps.items():
+            fns[i] = fn
+        width = self._table.shape[1] - 1
+        if any(len(fn._sizes) > width for fn in reps.values()):
             for i in reversed(drop):
                 del fns[i]
             return BatchSpeedModels(tuple(fns))
 
-        kt = self._kt.copy()
-        sizes_ = self._sizes.copy()
-        speeds = self._speeds.copy()
-        table = self._table.copy()
-        nseg = self._nseg.copy()
-        caps = self._caps.copy()
-        s_first = self._s_first.copy()
-        s_last = self._s_last.copy()
-        irregular = set(self._irregular)
-        for i, fn in reps.items():
-            sizes, spd, knot_times, row_table, monotone = new_rows[i]
-            m = sizes.size
-            kt[i] = np.inf
-            kt[i, :m] = knot_times
-            sizes_[i] = np.inf
-            sizes_[i, :m] = sizes
-            speeds[i] = 0.0
-            speeds[i, :m] = spd
-            table[i] = 0.0
-            table[i, : m + 1] = row_table
-            nseg[i] = m
-            caps[i] = sizes[-1] if fn.bounded else np.inf
-            s_first[i] = spd[0]
-            s_last[i] = spd[-1]
-            fns[i] = fn
-            irregular.discard(i)
-            if not monotone:
-                irregular.add(i)
+        monotone = np.ones(self.count, dtype=bool)
+        monotone[list(self._irregular)] = False
+        out = [
+            a.copy()
+            for a in (
+                self._kt,
+                self._sizes,
+                self._speeds,
+                self._table,
+                self._nseg,
+                self._caps,
+            )
+        ]
+        out.append(monotone)
+        if reps:
+            idx = sorted(reps)
+            _stack_rows([reps[i] for i in idx], out, idx)
         if drop:
             keep = np.ones(self.count, dtype=bool)
             keep[drop] = False
-            kt = kt[keep]
-            sizes_ = sizes_[keep]
-            speeds = speeds[keep]
-            table = table[keep]
-            nseg = nseg[keep]
-            caps = caps[keep]
-            s_first = s_first[keep]
-            s_last = s_last[keep]
-            gone = set(drop)
-            remap = {}
-            j = 0
-            for i in range(self.count):
-                if i not in gone:
-                    remap[i] = j
-                    j += 1
-            irregular = {remap[i] for i in irregular if i not in gone}
-            fns = [fn for i, fn in enumerate(fns) if i not in gone]
+            out = [a[keep] for a in out]
+            fns = [fn for fn, kept in zip(fns, keep.tolist()) if kept]
 
         clone = object.__new__(BatchSpeedModels)
-        clone.fns = tuple(fns)
-        clone.count = len(fns)
-        clone._kt = kt
-        clone._sizes = sizes_
-        clone._speeds = speeds
-        clone._table = table
-        clone._nseg = nseg
-        clone._caps = caps
-        clone._rows = np.arange(len(fns))
-        clone._irregular = tuple(sorted(irregular))
-        clone._s_first = s_first
-        clone._s_last = s_last
+        clone._assign(tuple(fns), out)
         return clone
 
     # ------------------------------------------------------------ kernels

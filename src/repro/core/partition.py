@@ -108,14 +108,17 @@ def _solve_equal_time(
     comparison of the *summed* allocation, so tolerance semantics do not
     depend on the processor count.
 
-    Returns ``(allocs, iterations, evals, t_hi)`` where ``allocs`` is
-    the evaluation at the bracket's upper end (the smallest examined
-    ``T`` with enough work), matching the pre-vectorisation bisection
-    contract, and ``t_hi`` is that finish time — the equal-time ray a
-    warm re-solve can seed its bracket with.
+    Returns ``(allocs, lower, iterations, evals, t_hi)`` where
+    ``allocs`` is the evaluation at the bracket's upper end (the smallest
+    examined ``T`` with enough work), matching the pre-vectorisation
+    bisection contract, ``lower`` the evaluation at its lower end (None
+    while that end is still ``T = 0``, where every allocation is zero)
+    for :func:`_rescale`, and ``t_hi`` the upper finish time — the
+    equal-time ray a warm re-solve can seed its bracket with.
     """
     t_lo = 0.0
     g_lo = 0.0 - total
+    lower = None
     allocs = evaluate(t_hi)
     s_hi = asum(allocs)
     evals = 1
@@ -156,10 +159,11 @@ def _solve_equal_time(
         else:
             t_lo = t_mid
             g_lo = g_mid
+            lower = mid_allocs
             if side == -1:
                 g_hi *= 0.5
             side = -1
-    return allocs, iterations, evals, t_hi
+    return allocs, lower, iterations, evals, t_hi
 
 
 def _record_solver_metrics(
@@ -272,11 +276,12 @@ def partition_fpm_with_state(
         if tracer.enabled:
 
             def trace(iteration, mid_allocs):
+                busy = batch.times_at(mid_allocs)[mid_allocs > 0.0]
                 _trace_iteration(
-                    tracer, "partition.fpm", iteration, fns, mid_allocs, total
+                    tracer, "partition.fpm", iteration, asum(mid_allocs), busy, total
                 )
 
-        allocs, iterations, evals, t_star = _solve_equal_time(
+        allocs, lower, iterations, evals, t_star = _solve_equal_time(
             batch.allocations_at,
             total,
             t_hi,
@@ -287,7 +292,7 @@ def partition_fpm_with_state(
         span.set_attr("iterations", iterations)
         if tracer.enabled:
             _record_solver_metrics(tracer, "vector", len(fns), iterations, evals)
-        scaled = _rescale(allocs, total, caps)
+        scaled = _rescale(allocs, total, caps, lower)
         state = FpmSolveState(
             batch=batch, total=float(total), finish_time=t_star
         )
@@ -354,7 +359,7 @@ def resolve_fpm(
                 float(np.max(batch.times_at(np.minimum(new_total, caps))))
                 + 1e-12
             )
-        allocs, iterations, evals, t_star = _solve_equal_time(
+        allocs, lower, iterations, evals, t_star = _solve_equal_time(
             batch.allocations_at,
             new_total,
             t_hi,
@@ -374,7 +379,7 @@ def resolve_fpm(
             tracer.histogram(
                 "partition.resolve.evaluations", _ITER_BUCKETS
             ).observe(evals)
-        scaled = _rescale(allocs, new_total, caps)
+        scaled = _rescale(allocs, new_total, caps, lower)
         new_state = FpmSolveState(
             batch=batch, total=new_total, finish_time=t_star
         )
@@ -410,10 +415,10 @@ def partition_fpm_scalar(
     t_hi = max(
         time_row_at(fn, min(total, cap)) for fn, cap in zip(fns, caps)
     ) + 1e-12
-    allocs, _, _, _ = _solve_equal_time(
+    allocs, lower, _, _, _ = _solve_equal_time(
         evaluate, total, t_hi, tolerance=tolerance, max_iters=max_iters
     )
-    return _rescale(allocs, total, caps)
+    return _rescale(allocs, total, caps, lower)
 
 
 def _row_sums(matrix: np.ndarray) -> np.ndarray:
@@ -514,25 +519,29 @@ def partition_fpm_many(
             side[lo_idx] = -1
 
         final = batch.allocations_at_many(t_hi)
+        # Row g at t_lo[g] == 0 is all zeros, the single solve's ``None``.
+        lower = batch.allocations_at_many(t_lo)
         span.set_attr("iterations", iterations)
         if tracer.enabled:
             _record_solver_metrics(tracer, "many", len(fns), iterations, evals)
         return [
-            _rescale(final[g], targets[g], caps) for g in range(n)
+            _rescale(final[g], targets[g], caps, lower[g]) for g in range(n)
         ]
 
 
 def _trace_iteration(
-    tracer, algorithm: str, iteration: int, fns, allocs, total: float
+    tracer, algorithm: str, iteration: int, allocated: float, busy_times, total: float
 ) -> None:
     """Record one partitioner iteration: a span plus convergence gauges.
 
-    Only called when tracing is enabled, so the extra balance evaluation
-    never runs on the production path.
+    ``allocated`` is the iteration's total allocation and ``busy_times``
+    the execution times of the processors given work.  Callers evaluate
+    both only when tracing is enabled, so the production path never pays
+    for them.
     """
-    allocated = sum(allocs)
-    times = [fn.time(x) for fn, x in zip(fns, allocs) if x > 0]
-    imbalance = max(times) / min(times) if times else 1.0
+    imbalance = (
+        float(np.max(busy_times) / np.min(busy_times)) if len(busy_times) else 1.0
+    )
     tracer.record(
         f"{algorithm}.iteration",
         category="partition",
@@ -599,8 +608,14 @@ def geometric_partition(models, total: float) -> list[float]:
                 hi = mid
             iterations = iteration + 1
             if tracer.enabled:
+                busy = [fn.time(x) for fn, x in zip(fns, mid_allocs) if x > 0]
                 _trace_iteration(
-                    tracer, "partition.geometric", iteration, fns, mid_allocs, total
+                    tracer,
+                    "partition.geometric",
+                    iteration,
+                    sum(mid_allocs),
+                    busy,
+                    total,
                 )
             if hi - lo <= 1e-12 * max(1e-30, hi):
                 break
@@ -679,7 +694,7 @@ def balance_report(models, allocations) -> BalanceReport:
     return BalanceReport(times=times, makespan=makespan, imbalance=imbalance)
 
 
-def _rescale(allocs, total: float, caps) -> list[float]:
+def _rescale(allocs, total: float, caps, lower=None) -> list[float]:
     """Scale allocations to sum exactly to ``total`` without breaching caps.
 
     The happy path is vectorised but bit-identical to the scalar loop it
@@ -688,6 +703,10 @@ def _rescale(allocs, total: float, caps) -> list[float]:
     same elementwise ``min``.  Both the batched and the scalar-oracle
     partitioners finish through this one function, so the identity
     contract between them is unaffected.
+
+    ``lower`` is the allocation at the other end of the solver's final
+    bracket (too little work; None means all zeros), used only when the
+    search stopped short of the total.
     """
     arr = np.asarray(allocs, dtype=float)
     caps_arr = np.asarray(caps, dtype=float)
@@ -705,27 +724,19 @@ def _rescale(allocs, total: float, caps) -> list[float]:
                 raise ValueError("capacity exhausted while rescaling")
             scaled[free[0]] += deficit
         return scaled.tolist()
-    # Bisection stopped short (pathological models, e.g. time plateaus);
-    # distribute the gap evenly among the processors that can absorb it —
-    # below-cap ones when adding work, positive ones when taking it away.
-    # Clamping may strand a remainder, so repeat until the sum converges
-    # (each round retires at least one clamped processor).
-    out = arr.tolist()
+    # The bracket closed before the total did (a time plateau: some
+    # processor's allocation jumps across an arbitrarily narrow finish-time
+    # window).  Interpolate between the bracket's two ends, so each
+    # processor absorbs the gap in proportion to how far its allocation
+    # moves across the bracket: the ones on the plateau take it, the ones
+    # whose time curve is steep there stay put, as the equal-time
+    # condition demands.  Both ends lie within [0, caps], so does the mix.
+    lo = np.zeros_like(arr) if lower is None else np.asarray(lower, dtype=float)
+    s_lo = float(np.add.accumulate(lo)[-1])
+    weight = (total - s_lo) / (s - s_lo)
+    out = np.minimum(np.maximum(lo + weight * (arr - lo), 0.0), caps_arr).tolist()
     caps = caps_arr.tolist()
-    for _ in range(len(out) + 1):
-        gap = total - sum(out)
-        if abs(gap) <= _SUM_TOL * total:
-            break
-        if gap > 0:
-            adjustable = [i for i in range(len(out)) if out[i] < caps[i]]
-        else:
-            adjustable = [i for i in range(len(out)) if out[i] > 0.0]
-        if not adjustable:
-            raise ValueError("capacity exhausted while balancing")
-        share = gap / len(adjustable)
-        for i in adjustable:
-            out[i] = min(max(0.0, out[i] + share), caps[i])
-    # final exact fix on any allocation with room for the residual
+    # final exact fix on any allocation with room for the rounding residual
     gap = total - sum(out)
     if gap != 0.0:
         for i in range(len(out)):

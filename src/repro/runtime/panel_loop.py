@@ -80,7 +80,12 @@ def _run_vector(
 ):
     sim = EventSimulator()
     devices = compute.size
-    delays = comm_s + compute  # one elementwise add, reused every panel
+    # One elementwise add, reused every panel, and sorted once here so
+    # each panel's stable sort in schedule_batch sees ascending input.
+    # Only the fire times and their count reach on_panel (never which
+    # device fired), so the order is unobservable: now + sorted delays
+    # is the same ascending time sequence the per-panel sort produced.
+    delays = np.sort(comm_s + compute)
     totals = np.zeros(devices)
     finishes = np.empty(panels)
     state = {"panel": 0, "remaining": devices, "effective": compute}

@@ -17,7 +17,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.hierarchical import hierarchical_partition
@@ -83,6 +83,25 @@ def test_many_rows_are_valid_allocations(problem, fractions):
     ),
     nodes=st.integers(min_value=1, max_value=4),
     per_node=st.integers(min_value=10, max_value=400),
+)
+# The 2-unit solve stops on bracket width with the fast unit's time curve
+# nearly flat; an even spread of the residual moved the slow unit by 3e-7.
+@example(
+    units=[
+        SpeedFunction.from_points([1.0], [0.6666666666666666]),
+        SpeedFunction.from_points(
+            [1.0, 2.0, 39.0, 50.0, 75.0],
+            [
+                32.0,
+                42.666666666666664,
+                739.5555555555555,
+                474.0740740740741,
+                355.55555555555554,
+            ],
+        ),
+    ],
+    nodes=2,
+    per_node=18,
 )
 def test_hierarchy_fanout_matches_flat_solve_on_homogeneous_nodes(
     units, nodes, per_node

@@ -57,6 +57,24 @@ class TestPanelLoop:
         assert_identical(vec, sca)
         assert vec.total_time_s == 6.0
 
+    def test_delays_that_tie_only_after_the_clock_is_added(self):
+        """Distinct delays that round to one fire time once ``now`` is large.
+
+        The vector lane sorts the delays once; the scalar lane schedules
+        them in device order.  The equal fire times must still produce
+        the same panels, totals and event count on both.
+        """
+        tiny = 2.0**-40
+        compute = np.array([1.0 + tiny, 1e8, 1.0, 1.0 + 2 * tiny, 0.5])
+        delays = 0.25 + compute[[0, 2, 3]]
+        clock = 0.25 + 1e8  # the clock after the first panel
+        assert len(set(delays.tolist())) == 3
+        assert len(set((clock + delays).tolist())) == 1
+        vec = simulate_panel_loop(compute, 4, 0.25, engine="vector")
+        sca = simulate_panel_loop(compute, 4, 0.25, engine="scalar")
+        assert_identical(vec, sca)
+        assert vec.events_processed == 4 * compute.size
+
     def test_result_statistics(self):
         result = simulate_panel_loop([1.0, 2.0], 2)
         assert result.makespan_computation_s == 4.0
