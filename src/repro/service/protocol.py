@@ -63,7 +63,7 @@ from repro.platform.drift import parse_drift_spec
 from repro.platform.presets import cpu_only_node, ig_icl_node
 from repro.platform.spec import NodeSpec
 from repro.store import digest_key, node_key
-from repro.util.serde import from_jsonable
+from repro.util.serde import dataclass_type_hints, from_jsonable
 
 #: Named platform presets a request may use instead of an inline spec.
 PRESETS = {
@@ -466,7 +466,7 @@ def unknown_spec_fields(cls: type, data: Any, prefix: str = "") -> list[str]:
     """
     if not dataclasses.is_dataclass(cls) or not isinstance(data, dict):
         return []
-    hints = typing.get_type_hints(cls)
+    hints = dataclass_type_hints(cls)
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = [f"{prefix}{key}" for key in sorted(set(data) - known)]
     for field in dataclasses.fields(cls):

@@ -5,6 +5,10 @@ jitter) draws from an :class:`RngStream`, a thin wrapper around
 ``numpy.random.Generator`` that supports hierarchical, *named* child streams.
 Deriving children by name rather than by call order keeps experiments
 reproducible even when the code paths that consume randomness are reordered.
+
+A stream seeds its generator on first use, so deriving a path of children
+costs a tuple append per name and only the streams that draw pay for a
+PCG64.
 """
 
 from __future__ import annotations
@@ -13,6 +17,16 @@ import hashlib
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.random import PCG64, Generator
+
+
+def _generator(seed: int) -> Generator:
+    """The one place a numpy generator is built from a derived seed.
+
+    For an integer seed ``default_rng(seed)`` is exactly
+    ``Generator(PCG64(seed))``; spelling it directly skips the dispatch.
+    """
+    return Generator(PCG64(seed))
 
 
 def _path_hasher(base_seed: int, names: Iterable[object]):
@@ -62,20 +76,14 @@ def sibling_generators(
     base_seed: int,
     prefix: Sequence[object],
     leaves: Iterable[object],
-) -> list[np.random.Generator]:
+) -> list[Generator]:
     """Generators of many sibling streams (see :func:`sibling_seeds`).
 
     ``sibling_generators(s, p, [leaf])[0]`` draws the same sequence as
-    ``RngStream(s, (*p, leaf)).generator``: for integer seeds
-    ``default_rng(seed)`` is exactly ``Generator(PCG64(seed))``, spelled
-    directly here to skip the dispatch overhead on the batched hot path.
+    ``RngStream(s, (*p, leaf)).generator``: both are built by the same
+    helper from the same BLAKE2 seed.
     """
-    generator = np.random.Generator
-    pcg64 = np.random.PCG64
-    return [
-        generator(pcg64(seed))
-        for seed in sibling_seeds(base_seed, prefix, leaves)
-    ]
+    return [_generator(seed) for seed in sibling_seeds(base_seed, prefix, leaves)]
 
 
 class RngStream:
@@ -91,7 +99,22 @@ class RngStream:
     def __init__(self, seed: int, _path: tuple[str, ...] = ()):
         self.seed = int(seed)
         self.path = _path
-        self._gen = np.random.default_rng(derive_seed(self.seed, *_path))
+
+    @property
+    def generator(self) -> Generator:
+        """The underlying numpy Generator (for bulk array draws).
+
+        Built on first use.  ``dict.setdefault`` publishes it atomically,
+        so threads racing on a fresh stream's first draw share one
+        generator; it lives in the instance dict, so a stream pickles
+        and deep-copies with its position in the sequence.
+        """
+        try:
+            return self.__dict__["_gen"]
+        except KeyError:
+            return self.__dict__.setdefault(
+                "_gen", _generator(derive_seed(self.seed, *self.path))
+            )
 
     def child(self, name: str) -> "RngStream":
         """Return an independent stream derived from this one by ``name``."""
@@ -100,30 +123,25 @@ class RngStream:
     # -- convenience draws -------------------------------------------------
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         """One uniform draw in [low, high)."""
-        return float(self._gen.uniform(low, high))
+        return float(self.generator.uniform(low, high))
 
     def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
         """One Gaussian draw."""
-        return float(self._gen.normal(mean, std))
+        return float(self.generator.normal(mean, std))
 
     def lognormal_factor(self, sigma: float) -> float:
         """A multiplicative noise factor with median 1.0 (log-normal)."""
         if sigma == 0.0:
             return 1.0
-        return float(np.exp(self._gen.normal(0.0, sigma)))
+        return float(np.exp(self.generator.normal(0.0, sigma)))
 
     def integers(self, low: int, high: int) -> int:
         """One integer draw in [low, high)."""
-        return int(self._gen.integers(low, high))
+        return int(self.generator.integers(low, high))
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
-        self._gen.shuffle(items)
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """The underlying numpy Generator (for bulk array draws)."""
-        return self._gen
+        self.generator.shuffle(items)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RngStream(seed={self.seed}, path={'/'.join(self.path) or '<root>'})"

@@ -14,9 +14,10 @@ survive the round-trip exactly (JSON uses ``repr`` precision).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import types
 import typing
-from typing import Any
+from typing import Any, Mapping
 
 
 def to_jsonable(value: Any) -> Any:
@@ -52,6 +53,12 @@ def resolve_type_name(name: str) -> type:
     if not isinstance(obj, type):
         raise TypeError(f"{name!r} does not resolve to a class")
     return obj
+
+
+@functools.cache
+def dataclass_type_hints(cls: type) -> Mapping[str, Any]:
+    """``typing.get_type_hints(cls)``, resolved once per class, read-only."""
+    return types.MappingProxyType(typing.get_type_hints(cls))
 
 
 def from_jsonable(cls: type, data: Any) -> Any:
@@ -120,7 +127,7 @@ def _decode_dataclass(cls: type, data: Any) -> Any:
         raise TypeError(
             f"expected a mapping for {cls.__name__}, got {type(data).__name__}"
         )
-    hints = typing.get_type_hints(cls)
+    hints = dataclass_type_hints(cls)
     kwargs = {}
     for field in dataclasses.fields(cls):
         if field.name not in data:

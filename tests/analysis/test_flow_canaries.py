@@ -91,3 +91,22 @@ def test_noqa_at_sink_suppresses_cross_file_diagnostic(tmp_path):
     assert len(cache_writes) == 1
     assert cache_writes[0].path.endswith("registry.py")
     assert "reopen_cache" in cache_writes[0].message
+
+
+def test_real_rng_module_builds_generators_in_one_helper():
+    """The sanctioned module has one REP101 source: ``_generator``.
+
+    ``RngStream.generator`` and ``sibling_generators`` both build
+    through it, so the taint tier sees a single creation site.
+    """
+    from repro.analysis.symbols import summarize_file
+
+    src = REPO_ROOT / "src"
+    summary = summarize_file(src / "repro" / "util" / "rng.py", src)
+    sites = [
+        (fn.qualname, site.target)
+        for fn in summary.functions.values()
+        for site in fn.rng_sites
+    ]
+    assert sites == [("repro.util.rng._generator", "numpy.random.Generator")]
+    assert not summary.module_rng

@@ -1,7 +1,16 @@
 """Unit tests for the hierarchical RNG streams."""
 
+import copy
+import pickle
+import sys
+import threading
+
+import numpy as np
 import pytest
 
+import repro.util.rng as rng_module
+from repro.platform.drift import DriftModel
+from repro.platform.noise import NoiseModel
 from repro.util.rng import RngStream, derive_seed
 
 
@@ -64,3 +73,110 @@ class TestRngStream:
         b2 = root2.child("b").uniform()
         a2 = root2.child("a").uniform()
         assert (a1, b1) == (a2, b2)
+
+
+class TestLazyGenerator:
+    def test_draws_match_a_directly_seeded_generator(self):
+        stream = RngStream(5).child("a").child("b")
+        direct = np.random.default_rng(derive_seed(5, "a", "b"))
+        assert [stream.normal() for _ in range(4)] == [
+            float(direct.normal()) for _ in range(4)
+        ]
+
+    @pytest.fixture
+    def eager_thread_switches(self):
+        """Switch threads every microsecond so a first-draw race shows."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.usefixtures("eager_thread_switches")
+    def test_racing_first_draws_share_one_generator(self):
+        """Eight threads drawing first from one fresh stream share a generator."""
+        n = 8
+        for seed in range(50):
+            stream = RngStream(seed).child("race")
+            barrier = threading.Barrier(n, timeout=10)
+            values: list[float] = []
+
+            def draw() -> None:
+                barrier.wait()
+                values.append(stream.uniform())
+
+            threads = [threading.Thread(target=draw) for _ in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            serial = RngStream(seed).child("race")
+            assert sorted(values) == sorted(serial.uniform() for _ in range(n))
+
+
+def _round_trips(stream):
+    return [pickle.loads(pickle.dumps(stream)), copy.deepcopy(stream)]
+
+
+class TestPickleAndDeepcopy:
+    def test_never_drawn_stream_copies_continue_identically(self):
+        original = RngStream(17).child("dev").child("rep0")
+        copies = _round_trips(original)
+        expected = [original.normal() for _ in range(5)]
+        for clone in copies:
+            assert (clone.seed, clone.path) == (original.seed, original.path)
+            assert [clone.normal() for _ in range(5)] == expected
+
+    def test_mid_sequence_stream_copies_continue_identically(self):
+        original = RngStream(17).child("dev")
+        for _ in range(3):
+            original.uniform()
+        copies = _round_trips(original)
+        expected = [original.uniform() for _ in range(5)]
+        for clone in copies:
+            assert [clone.uniform() for _ in range(5)] == expected
+
+
+class TestGeneratorBuildCount:
+    """Only a stream that draws builds a generator (no eager seeding)."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+        real = rng_module._generator
+
+        def counting(seed):
+            count[0] += 1
+            return real(seed)
+
+        monkeypatch.setattr(rng_module, "_generator", counting)
+        return count
+
+    def test_child_chain_builds_one_generator(self, builds):
+        stream = RngStream(1).child("a").child("b").child("c")
+        assert builds[0] == 0
+        stream.uniform()
+        stream.uniform()
+        assert builds[0] == 1
+
+    def test_noise_perturb_builds_one(self, builds):
+        noise = NoiseModel(RngStream(1).child("bench"), sigma=0.05)
+        noise.perturb(1.0, "gpu0", 4096, 3)
+        assert builds[0] == 1
+
+    def test_noise_perturb_with_outliers_builds_two(self, builds):
+        noise = NoiseModel(
+            RngStream(1).child("bench"), sigma=0.05, outlier_prob=0.1
+        )
+        noise.perturb(1.0, "gpu0", 4096, 3)
+        assert builds[0] == 2
+
+    def test_drift_burst_and_jitter_build_two(self, builds):
+        model = DriftModel.from_spec(
+            "burst:gpu0:p=0.5,x=3,len=1; jitter:gpu0:sigma=0.1,w=1", seed=4
+        )
+        builds[0] = 0
+        model.speed_multiplier("gpu0", 2.5)
+        assert builds[0] == 2

@@ -7,6 +7,7 @@ from typing import Optional
 import pytest
 
 from repro.util.serde import (
+    dataclass_type_hints,
     from_jsonable,
     qualified_type_name,
     resolve_type_name,
@@ -78,6 +79,27 @@ class TestRoundTrip:
     def test_non_mapping_for_dataclass_is_rejected(self):
         with pytest.raises(TypeError, match="expected a mapping"):
             from_jsonable(Leaf, [1, 2])
+
+
+class TestTypeHintCache:
+    def test_hints_are_resolved_once_and_read_only(self):
+        hints = dataclass_type_hints(Tree)
+        assert dataclass_type_hints(Tree) is hints
+        assert hints["leaves"] == tuple[Leaf, ...]
+        with pytest.raises(TypeError):
+            hints["name"] = int  # type: ignore[index]
+
+    def test_nested_decode_twice_gives_equal_results(self):
+        data = {
+            "name": "t",
+            "leaves": [{"label": "a", "weight": 1}, {"label": "b", "weight": 2.5}],
+            "scores": {"3": 0.5},
+        }
+        first = from_jsonable(Tree, data)
+        second = from_jsonable(Tree, data)
+        assert first == second
+        assert isinstance(second.leaves[0], Leaf)
+        assert second.leaves[0].weight == 1.0 and second.scores == {3: 0.5}
 
 
 class TestTypeNames:
