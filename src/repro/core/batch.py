@@ -243,6 +243,7 @@ class BatchSpeedModels:
         "_irregular",
         "_s_first",
         "_s_last",
+        "_x_last",
     )
 
     def __init__(self, fns: tuple[SpeedFunction, ...]):
@@ -269,6 +270,7 @@ class BatchSpeedModels:
         self._irregular = tuple(np.flatnonzero(~monotone).tolist())
         self._s_first = self._speeds[:, 0].copy()
         self._s_last = self._speeds[self._rows, self._nseg - 1]
+        self._x_last = self._sizes[self._rows, self._nseg - 1]
 
     @property
     def caps(self) -> np.ndarray:
@@ -429,6 +431,53 @@ class BatchSpeedModels:
         with np.errstate(divide="ignore", invalid="ignore"):
             t = xs / s
         return np.where(xs > 0.0, t, 0.0)
+
+    def model_times(self, sizes, rows=None) -> np.ndarray:
+        """:meth:`SpeedFunction.time` of many (model, size) pairs at once.
+
+        Element ``k`` is ``fns[rows[k]].time(sizes[k])`` bit for bit
+        (``rows`` defaults to every model in order): the segment is
+        chosen the way :meth:`SpeedFunction.speed` chooses it — head at
+        or below the first sample, tail at or above the last, otherwise
+        the segment ``bisect_right`` finds — and interpolated with the
+        same operations.  That differs from :meth:`times_at`, whose
+        count-below choice can land on the neighbouring segment at a knot
+        and so differ by an ulp.  Sizes must be non-negative and, for
+        bounded models, within range; neither is checked.
+        """
+        xs = np.asarray(sizes, dtype=float)
+        r = self._rows if rows is None else rows
+        knots = self._sizes[r]
+        # interior segment: samples <= x (bisect_right; the +inf padding
+        # never counts), clamped so head and tail still index real columns
+        ki = np.minimum(
+            np.maximum((knots <= xs[:, None]).sum(axis=1), 1),
+            np.maximum(self._nseg[r] - 1, 1),
+        )
+        x0 = self._sizes[r, ki - 1]
+        s0 = self._speeds[r, ki - 1]
+        # sizes strictly increase and speeds are positive: no 0/0 here
+        s = s0 + ((xs - x0) / (self._sizes[r, ki] - x0)) * (self._speeds[r, ki] - s0)
+        s = np.where(xs >= self._x_last[r], self._s_last[r], s)
+        s = np.where(xs <= knots[:, 0], self._s_first[r], s)
+        return np.where(xs == 0.0, 0.0, xs / s)
+
+
+def cached_batch(models) -> BatchSpeedModels | None:
+    """The memoised batch of exactly these speed functions, if there is one.
+
+    A lookup only: nothing is built or evicted.  Callers that receive the
+    model list a solve just used (rounding after ``Solver.solve``, say)
+    get its stacked rows without normalising the models again.
+    """
+    key = tuple(models)
+    try:
+        hit = _batch_cache.get(key)
+    except TypeError:  # an unhashable model; normalising rejects it
+        return None
+    if hit is not None:
+        _batch_cache.move_to_end(key)
+    return hit
 
 
 def batch_models(fns) -> BatchSpeedModels:
