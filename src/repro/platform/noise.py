@@ -10,6 +10,7 @@ experiment is reproducible from one seed while distinct repetitions differ.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,15 +51,21 @@ class NoiseModel:
                 f"outlier_factor must be >= 1, got {self.outlier_factor}"
             )
 
+    def _passes_through(self, seconds: float) -> bool:
+        """Validate an ideal timing; True when noise leaves it unchanged."""
+        if not math.isfinite(seconds):
+            raise ValueError(f"seconds must be finite, got {seconds}")
+        if seconds < 0:
+            raise ValueError(f"seconds must be >= 0, got {seconds}")
+        return seconds == 0.0 or (self.sigma == 0.0 and self.outlier_prob == 0.0)
+
     def perturb(self, seconds: float, *context: object) -> float:
         """Return a noisy version of an ideal timing.
 
         ``context`` names the measurement (device, size, repetition index,
         ...); the same context always yields the same draw.
         """
-        if seconds < 0:
-            raise ValueError(f"seconds must be >= 0, got {seconds}")
-        if seconds == 0.0 or (self.sigma == 0.0 and self.outlier_prob == 0.0):
+        if self._passes_through(seconds):
             return seconds
         stream = self.rng
         for part in context:
@@ -67,6 +74,57 @@ class NoiseModel:
         if self.outlier_prob > 0.0:
             if stream.child("outlier").uniform() < self.outlier_prob:
                 value *= self.outlier_factor
+        return value
+
+    def draw(
+        self, context: Sequence[object], leaves: Sequence[object]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The noise of many measurements: log-normal factors, outlier flags.
+
+        Entry ``i`` is what :meth:`perturb` draws for the context
+        ``(*context, leaf_i)`` (a tuple leaf spells several trailing
+        components), so ``apply(seconds, factors[i], outliers[i])`` equals
+        that ``perturb`` call.  Streams that ``perturb`` would not draw
+        from are not built: a zero ``sigma`` gives factors of 1.0 and a
+        zero ``outlier_prob`` gives no outliers.
+        """
+        n = len(leaves)
+        prefix = (*self.rng.path, *context)
+        factors = np.ones(n)
+        outliers = np.zeros(n, dtype=bool)
+        if self.sigma > 0.0:
+            gens = sibling_generators(self.rng.seed, prefix, leaves)
+            # Seeding is bulk (one kernel call for all streams), but each
+            # stream still draws its own normal: ``Generator.normal`` is
+            # ziggurat rejection sampling, which consumes a data-dependent
+            # number of raw draws, and NumPy samples many values only
+            # from ONE bit-generator.  So the draw stays per stream to
+            # keep entry i equal to the scalar path's draw, which the
+            # hypothesis suite (tests/platform/test_noise_properties.py)
+            # locks with outliers enabled.
+            factors = np.exp([g.normal(0.0, self.sigma) for g in gens])
+        if self.outlier_prob > 0.0:
+            gens = sibling_generators(
+                self.rng.seed,
+                prefix,
+                [
+                    (*leaf, "outlier") if isinstance(leaf, tuple)
+                    else (leaf, "outlier")
+                    for leaf in leaves
+                ],
+            )
+            outliers = (
+                np.array([g.uniform(0.0, 1.0) for g in gens]) < self.outlier_prob
+            )
+        return factors, outliers
+
+    def apply(self, seconds: float, factor: float, outlier: bool) -> float:
+        """One ideal timing under noise already drawn by :meth:`draw`."""
+        if self._passes_through(seconds):
+            return seconds
+        value = seconds * factor
+        if outlier:
+            value *= self.outlier_factor
         return value
 
     def perturb_batch(
@@ -80,42 +138,14 @@ class NoiseModel:
         Bit-identical to ``[self.perturb(seconds, *context, key) for key in
         rep_keys]``: the (device, size, contention) part of the stream path
         is hashed once, and each repetition's draws come from the same named
-        child streams the scalar path would construct.
+        child streams the scalar path would construct (see :meth:`draw`).
         """
-        if seconds < 0:
-            raise ValueError(f"seconds must be >= 0, got {seconds}")
-        n = len(rep_keys)
-        if seconds == 0.0 or (self.sigma == 0.0 and self.outlier_prob == 0.0):
-            return np.full(n, float(seconds))
-        prefix = (*self.rng.path, *context)
-        if self.sigma == 0.0:
-            # lognormal_factor short-circuits to 1.0 without consuming a draw
-            values = np.full(n, seconds * 1.0)
-        else:
-            gens = sibling_generators(self.rng.seed, prefix, rep_keys)
-            # Deliberately NOT vectorised: each repetition draws from its
-            # OWN BLAKE2-seeded PCG64 stream (the scalar path's stream
-            # tree), and NumPy can only sample many values from one
-            # bit-generator — batching the draws would consume different
-            # random bits.  Worse, ``Generator.normal`` is ziggurat
-            # rejection sampling (a data-dependent number of raw draws),
-            # so no closed-form vector expression can reproduce it.
-            # Vectorising here would break the batch == scalar
-            # bit-identity contract in the docstring, which the
-            # hypothesis suite (tests/platform/test_noise_properties.py)
-            # locks with outliers enabled; the loop stays.
-            normals = np.array([g.normal(0.0, self.sigma) for g in gens])
-            values = seconds * np.exp(normals)
+        if self._passes_through(seconds):
+            return np.full(len(rep_keys), float(seconds))
+        factors, outliers = self.draw(context, rep_keys)
+        values = seconds * factors
         if self.outlier_prob > 0.0:
-            outlier_gens = sibling_generators(
-                self.rng.seed, prefix, [(key, "outlier") for key in rep_keys]
-            )
-            # Same constraint as above: per-repetition streams, scalar
-            # draws, bit-identity over vector speed.
-            draws = np.array([g.uniform(0.0, 1.0) for g in outlier_gens])
-            values = np.where(
-                draws < self.outlier_prob, values * self.outlier_factor, values
-            )
+            values = np.where(outliers, values * self.outlier_factor, values)
         return values
 
     def quiet(self) -> "NoiseModel":

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.core.batch import time_row_at
 from repro.core.fpm import as_speed_function
@@ -286,6 +286,56 @@ class DriftRunResult:
         return sum(1 for event in self.repartitions if not event.committed)
 
 
+def _panel_observer(
+    drift: DriftModel,
+    noise: NoiseModel | None,
+    n: int,
+    unit_names: Sequence[str],
+) -> Callable[[float, int, Mapping[str, float]], dict[str, float]]:
+    """``observe(now, panel, ideals)``: each unit's observed panel time.
+
+    A unit's observed time is its ideal time stretched by the drift
+    time-multiplier at ``now``, then noised through the pinned
+    :func:`~repro.measurement.timer.compose_timing` order.  A unit's noise
+    in one panel depends only on its stream ``("panel", unit, f"p{panel}")``,
+    so the whole ``n x units`` table is drawn here, once; a panel replayed
+    after a drop reads the same entry again.  The drift stretches of all
+    alive units come from one batched call per panel.
+    """
+    width = len(unit_names)
+    column = {name: i for i, name in enumerate(unit_names)}
+    if noise is not None:
+        factors, outliers = noise.draw(
+            ("panel",),
+            [(name, f"p{panel}") for panel in range(n) for name in unit_names],
+        )
+        factors, outliers = factors.tolist(), outliers.tolist()
+
+    def observe(
+        now: float, panel: int, ideals: Mapping[str, float]
+    ) -> dict[str, float]:
+        names = list(ideals)
+        stretches = drift.time_multipliers(names, now).tolist()
+        if noise is None:
+            return {
+                name: ideals[name] * stretch
+                for name, stretch in zip(names, stretches)
+            }
+        row = panel * width
+        observed = {}
+        for name, stretch in zip(names, stretches):
+            k = row + column[name]
+            observed[name] = compose_timing(
+                ideals[name],
+                stretch,
+                1.0,
+                lambda seconds: noise.apply(seconds, factors[k], outliers[k]),
+            )
+        return observed
+
+    return observe
+
+
 def run_with_drift_control(
     app: "HybridMatMul",
     n: int,
@@ -394,23 +444,18 @@ def run_with_drift_control(
             expected_times(baseline_plan, state["scales"]), policy
         )
 
+    observe = _panel_observer(drift, noise, n, unit_names)
+
     def observe_panel(now: float, panel: int) -> dict[str, float]:
-        obs: dict[str, float] = {}
-        for u in alive_units():
-            ideal = unit_time(u.name, state["plan"].allocation_of(u.name))
-            factor = drift.time_multiplier(u.name, now)
-            if noise is None:
-                obs[u.name] = ideal * factor
-            else:
-                obs[u.name] = compose_timing(
-                    ideal,
-                    factor,
-                    1.0,
-                    lambda seconds, name=u.name: noise.perturb(
-                        seconds, "panel", name, f"p{panel}"
-                    ),
-                )
-        return obs
+        plan = state["plan"]
+        return observe(
+            now,
+            panel,
+            {
+                u.name: unit_time(u.name, plan.allocation_of(u.name))
+                for u in alive_units()
+            },
+        )
 
     def start_panel(sim: EventSimulator) -> None:
         obs = observe_panel(sim.now, state["completed"])
@@ -494,10 +539,10 @@ def run_with_drift_control(
         return commit
 
     def oracle_check(sim: EventSimulator) -> bool:
-        truth = {
-            u.name: drift.speed_multiplier(u.name, sim.now)
-            for u in alive_units()
-        }
+        names = [u.name for u in alive_units()]
+        truth = dict(
+            zip(names, drift.speed_multipliers(names, sim.now).tolist())
+        )
         if all(
             truth[name] == state["scales"][name] for name in truth
         ):

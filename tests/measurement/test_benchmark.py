@@ -1,8 +1,23 @@
 """Unit tests for the hybrid benchmark facade (Section III experiments)."""
 
+import numpy as np
 import pytest
 
 from repro.measurement.benchmark import HybridBenchmark
+from repro.platform.faults import FaultPlan
+
+
+class _NanKernel:
+    """A kernel whose model returns NaN for every size."""
+
+    name = "nan-kernel"
+    block_size = 640
+
+    def run_time(self, area_blocks, busy_cpu_cores=0):
+        return float("nan")
+
+    def run_time_batch(self, sizes, busy_cpu_cores=0):
+        return np.full(len(sizes), np.nan)
 
 
 class TestTimerIntegration:
@@ -25,6 +40,22 @@ class TestTimerIntegration:
         m = quiet_bench.measure_time(kernel, 300)
         assert m.mean == pytest.approx(kernel.run_time(300))
         assert m.std == 0.0
+
+
+class TestNonFiniteKernelTimes:
+    """A NaN ideal time raises instead of posing as an injected fault."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.02])
+    @pytest.mark.parametrize("fault_spec", [None, "fail:*:p=0.1,code=13"])
+    def test_nan_kernel_raises_in_both_lanes(self, node, sigma, fault_spec):
+        faults = None
+        if fault_spec is not None:
+            faults = FaultPlan.from_spec(fault_spec, seed=3)
+        bench = HybridBenchmark(node, seed=3, noise_sigma=sigma, faults=faults)
+        with pytest.raises(ValueError, match="seconds"):
+            bench.measure_times(_NanKernel(), [10.0, 50.0])
+        with pytest.raises(ValueError, match="seconds"):
+            bench.measure_time(_NanKernel(), 10.0)
 
 
 class TestMeasurements:

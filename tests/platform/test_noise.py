@@ -1,9 +1,11 @@
 """Unit tests for the measurement noise model."""
 
+import math
 import statistics
 
 import pytest
 
+import repro.util.rng as rng_module
 from repro.platform.noise import NoiseModel
 from repro.util.rng import RngStream
 
@@ -35,6 +37,20 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             noise.perturb(-1.0, "x")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "sigma, outlier_prob", [(0.05, 0.0), (0.0, 0.0), (0.05, 0.2)]
+    )
+    def test_rejects_non_finite_time_in_every_lane(self, bad, sigma, outlier_prob):
+        """NaN is the batch lane's fault marker: a NaN ideal must not pass."""
+        noise = NoiseModel(RngStream(1), sigma=sigma, outlier_prob=outlier_prob)
+        with pytest.raises(ValueError, match="seconds"):
+            noise.perturb(bad, "x")
+        with pytest.raises(ValueError, match="seconds"):
+            noise.perturb_batch(bad, ("x",), ["r0", "r1"])
+        with pytest.raises(ValueError, match="seconds"):
+            noise.apply(bad, 1.0, False)
+
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             NoiseModel(RngStream(1), sigma=-0.1)
@@ -55,3 +71,34 @@ class TestNoiseModel:
         q = noise.quiet()
         assert q.sigma == 0.0
         assert noise.sigma == 0.05
+
+
+class TestDrawAndApply:
+    LEAVES = [("gpu0", "p0"), ("gpu0", "p1"), ("cpu0", "p0"), "r7"]
+
+    @pytest.mark.parametrize(
+        "sigma, outlier_prob", [(0.05, 0.0), (0.0, 0.5), (0.05, 0.5), (0.0, 0.0)]
+    )
+    def test_applied_draws_equal_perturb(self, sigma, outlier_prob):
+        noise = NoiseModel(
+            RngStream(4).child("panel-noise"),
+            sigma=sigma,
+            outlier_prob=outlier_prob,
+            outlier_factor=7.0,
+        )
+        factors, outliers = noise.draw(("panel",), self.LEAVES)
+        for leaf, factor, outlier in zip(self.LEAVES, factors, outliers):
+            parts = leaf if isinstance(leaf, tuple) else (leaf,)
+            for seconds in (0.0, 0.37, 12.5):
+                assert noise.apply(seconds, factor, outlier) == noise.perturb(
+                    seconds, "panel", *parts
+                )
+
+    def test_quiet_model_builds_no_generators(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(rng_module, "_seed_states", built.append)
+        factors, outliers = NoiseModel(RngStream(1), sigma=0.0).draw(
+            ("panel",), self.LEAVES
+        )
+        assert built == []
+        assert factors.tolist() == [1.0] * 4 and not outliers.any()

@@ -1,13 +1,13 @@
 """Property tests: batch noise perturbation ≡ the scalar path (hypothesis).
 
-``NoiseModel.perturb_batch`` keeps its per-repetition ``Generator`` loop
-on purpose — each repetition draws from its own BLAKE2-seeded PCG64
-stream, and vectorising across distinct bit-generators cannot reproduce
-the scalar draws (see the comment in
-:meth:`repro.platform.noise.NoiseModel.perturb_batch`).  These
-properties lock the contract that justifies the loop: for arbitrary
-seeds, sigmas and outlier settings, the batch is bit-identical to the
-scalar walk — including the outlier branch.
+``NoiseModel.draw`` seeds all of a batch's streams in one bulk call but
+keeps one ``normal`` draw per stream on purpose — each repetition draws
+from its own BLAKE2-seeded PCG64 stream, and vectorising across distinct
+bit-generators cannot reproduce the scalar draws (see the comment in
+:meth:`repro.platform.noise.NoiseModel.draw`).  These properties lock
+the contract that justifies the loop: for arbitrary seeds, sigmas and
+outlier settings, the batch is bit-identical to the scalar walk —
+including the outlier branch.
 """
 
 from __future__ import annotations
@@ -60,3 +60,23 @@ def test_perturb_batch_bit_identical_without_outliers(seed, sigma, ideal, reps):
         [noise.perturb(ideal, "dev", "x1.0", key) for key in rep_keys]
     )
     assert np.array_equal(batch, scalar)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, sigmas, outlier_probs, outlier_factors, ideals, rep_counts)
+def test_applied_table_draws_bit_identical_to_scalar(
+    seed, sigma, outlier_prob, outlier_factor, ideal, units
+):
+    """Tuple leaves, as the drift-controlled runtime draws its panels."""
+    noise = NoiseModel(
+        RngStream(seed).child("panel-noise"),
+        sigma=sigma,
+        outlier_prob=outlier_prob,
+        outlier_factor=outlier_factor,
+    )
+    leaves = [(f"unit{u}", f"p{p}") for p in range(3) for u in range(units)]
+    factors, outliers = noise.draw(("panel",), leaves)
+    for leaf, factor, outlier in zip(leaves, factors, outliers):
+        assert noise.apply(ideal, factor, outlier) == noise.perturb(
+            ideal, "panel", *leaf
+        )

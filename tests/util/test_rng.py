@@ -7,11 +7,31 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import PCG64, Generator, SeedSequence
 
 import repro.util.rng as rng_module
 from repro.platform.drift import DriftModel
 from repro.platform.noise import NoiseModel
-from repro.util.rng import RngStream, derive_seed
+from repro.util.rng import (
+    RngStream,
+    derive_seed,
+    sibling_generators,
+    sibling_seeds,
+)
+
+#: Seeds at the kernel's word boundaries: one entropy word up to 2**32 - 1,
+#: two from 2**32 on.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+uint64_seeds = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+def _reference_states(seeds):
+    return np.array(
+        [SeedSequence(seed).generate_state(4, np.uint64) for seed in seeds],
+        dtype=np.uint64,
+    ).reshape(len(seeds), 4)
 
 
 class TestDeriveSeed:
@@ -27,6 +47,91 @@ class TestDeriveSeed:
     def test_path_structure_matters(self):
         # ("ab",) and ("a", "b") must differ: separator is included
         assert derive_seed(1, "ab") != derive_seed(1, "a", "b")
+
+
+class TestSiblingSeeds:
+    def test_tuple_leaf_spells_trailing_components(self):
+        assert sibling_seeds(1, ("a",), [("b", "c")])[0] == derive_seed(
+            1, "a", "b", "c"
+        )
+
+    def test_list_leaf_rejected(self):
+        with pytest.raises(TypeError, match="list"):
+            sibling_seeds(1, ("a",), [["b", "c"]])
+
+
+class TestSeedStates:
+    """The bulk kernel reproduces ``SeedSequence(seed).generate_state``."""
+
+    def test_edge_seeds(self):
+        got = rng_module._seed_states(EDGE_SEEDS)
+        assert got.dtype == np.uint64 and got.shape == (len(EDGE_SEEDS), 4)
+        assert np.array_equal(got, _reference_states(EDGE_SEEDS))
+
+    def test_empty_batch(self):
+        assert rng_module._seed_states([]).shape == (0, 4)
+
+    @pytest.mark.property
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(uint64_seeds, min_size=1, max_size=600))
+    def test_random_batches(self, seeds):
+        assert np.array_equal(
+            rng_module._seed_states(seeds), _reference_states(seeds)
+        )
+
+    @pytest.mark.property
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(uint64_seeds, st.sampled_from(EDGE_SEEDS)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_bulk_generators_match_directly_seeded_ones(self, seeds):
+        states = rng_module._seed_states(seeds)
+        for seed, state in zip(seeds, states):
+            bulk = rng_module._generator(rng_module._SeededState(seed, state))
+            direct = Generator(PCG64(seed))
+            assert bulk.bit_generator.state == direct.bit_generator.state
+            assert bulk.normal(size=3).tolist() == direct.normal(size=3).tolist()
+            assert bulk.uniform(size=3).tolist() == direct.uniform(size=3).tolist()
+            assert (
+                bulk.integers(0, 1000, 3).tolist()
+                == direct.integers(0, 1000, 3).tolist()
+            )
+
+    def test_sibling_generators_match_stream_generators(self):
+        leaves = [f"r{i}" for i in range(30)] + [("dev", "outlier")]
+        gens = sibling_generators(9, ("bench", "x1.0"), leaves)
+        for leaf, gen in zip(leaves, gens):
+            path = ("bench", "x1.0", *(leaf if isinstance(leaf, tuple) else (leaf,)))
+            direct = RngStream(9, path).generator
+            assert gen.bit_generator.state == direct.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy]
+    )
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_copies_and_spawns_behave_like_direct_generators(self, clone, seed):
+        bulk = rng_module._generator(
+            rng_module._SeededState(seed, rng_module._seed_states([seed])[0])
+        )
+        direct = Generator(PCG64(seed))
+        for gen in (bulk, direct):
+            gen.normal(size=2)
+        bulk_copy, direct_copy = clone(bulk), clone(direct)
+        assert bulk_copy.bit_generator.state == direct_copy.bit_generator.state
+        assert bulk_copy.uniform(size=4).tolist() == direct_copy.uniform(
+            size=4
+        ).tolist()
+        for _ in range(2):  # a second spawn continues the child counter
+            assert [c.normal() for c in bulk_copy.spawn(2)] == [
+                c.normal() for c in direct_copy.spawn(2)
+            ]
+        assert [c.integers(0, 100, 4).tolist() for c in bulk.spawn(2)] == [
+            c.integers(0, 100, 4).tolist() for c in direct.spawn(2)
+        ]
 
 
 class TestRngStream:
