@@ -16,12 +16,8 @@ import numpy as np
 
 from repro.obs import get_tracer
 from repro.platform.faults import KernelFaultError, RetryPolicy
-from repro.util.stats import (
-    RunningStats,
-    first_reliable_prefix,
-    relative_precision_cached,
-)
-from repro.util.validation import check_positive, check_positive_int, check_probability
+from repro.util.stats import RunningStats, first_reliable_prefix
+from repro.util.validation import check_open_probability, check_positive, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -35,7 +31,7 @@ class ReliabilityCriterion:
 
     def __post_init__(self) -> None:
         check_positive("rel_err", self.rel_err)
-        check_probability("confidence", self.confidence)
+        check_open_probability("confidence", self.confidence)
         check_positive_int("min_repetitions", self.min_repetitions)
         check_positive_int("max_repetitions", self.max_repetitions)
         if self.max_repetitions < self.min_repetitions:
@@ -286,7 +282,7 @@ def measure_until_reliable_batch(
                 chunk *= 2
         finally:
             ledger.flush(tracer, span)
-        rel_precision = relative_precision_cached(stats, criterion.confidence)
+        rel_precision = stats.relative_precision(criterion.confidence)
         reliable = rel_precision <= criterion.rel_err
         if tracer.enabled:
             # same accounting as the scalar oracle: samples are accepted

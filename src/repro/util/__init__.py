@@ -1,7 +1,8 @@
 """Shared utilities: statistics, units, validation, RNG, tables, timelines.
 
-These modules are deliberately dependency-light (numpy/scipy only) and are
-used by every other subsystem of :mod:`repro`.
+These modules are deliberately dependency-light and are used by every other
+subsystem of :mod:`repro`.  Importing them loads numpy only; SciPy's
+``scipy.special`` is imported on the first Student-t critical value.
 """
 
 from repro.util.rng import RngStream, derive_seed

@@ -17,23 +17,31 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np  # noqa: F401 - ndarray in annotations
-from scipy import stats as _scipy_stats
 
-from repro.util.validation import check_positive, check_probability
-
-
-def student_t_critical(confidence: float, dof: int) -> float:
-    """Two-sided Student-t critical value for a confidence level and dof >= 1."""
-    check_probability("confidence", confidence)
-    if dof < 1:
-        raise ValueError(f"dof must be >= 1, got {dof}")
-    alpha = 1.0 - confidence
-    return float(_scipy_stats.t.ppf(1.0 - alpha / 2.0, dof))
+from repro.util.validation import check_open_probability, check_positive
 
 
 @lru_cache(maxsize=4096)
-def _student_t_critical_cached(confidence: float, dof: int) -> float:
-    return student_t_critical(confidence, dof)
+def _t_critical(confidence: float, dof: int) -> float:
+    """Memoised, unvalidated kernel behind :func:`student_t_critical`.
+
+    ``scipy.special`` is imported on the first call, so a process that
+    never checks a sample's reliability never loads SciPy.  ``stdtrit`` is
+    the inverse CDF that ``scipy.stats.t.ppf`` wraps, so the value is the
+    same bit for bit.
+    """
+    from scipy.special import stdtrit
+
+    alpha = 1.0 - confidence
+    return float(stdtrit(dof, 1.0 - alpha / 2.0))
+
+
+def student_t_critical(confidence: float, dof: int) -> float:
+    """Two-sided Student-t critical value for a confidence in (0, 1) and dof >= 1."""
+    check_open_probability("confidence", confidence)
+    if dof < 1:
+        raise ValueError(f"dof must be >= 1, got {dof}")
+    return _t_critical(confidence, dof)
 
 
 def confidence_interval(
@@ -115,21 +123,6 @@ class RunningStats:
         return RunningStats(n, mean, m2)
 
 
-def relative_precision_cached(stats: RunningStats, confidence: float = 0.95) -> float:
-    """:meth:`RunningStats.relative_precision` via the memoised t-critical.
-
-    Bit-identical to the scalar method (same scipy value, same operation
-    order); used by the batch measurement path for its final statistics so
-    a cold FPM sweep pays one ``t.ppf`` call per distinct (confidence, dof)
-    instead of one per measurement.
-    """
-    if stats.count < 2 or stats.mean == 0.0:
-        return math.inf
-    t = _student_t_critical_cached(confidence, stats.count - 1)
-    half = t * stats.std / math.sqrt(stats.count)
-    return abs(half / stats.mean)
-
-
 def first_reliable_prefix(
     stats: RunningStats,
     values: np.ndarray,
@@ -151,14 +144,15 @@ def first_reliable_prefix(
     memoised critical value and the exact operation order of
     :func:`relative_precision`, making the stopping decision bit-identical
     to checking :meth:`RunningStats.is_reliable` after every observation
-    while paying one ``t.ppf`` call per distinct dof for the whole sweep.
+    while validating ``confidence`` once per chunk, not per observation.
     """
     check_positive("rel_err", rel_err)
+    check_open_probability("confidence", confidence)
     for value in values:
         stats.add(float(value))
         if stats.count < min_count or stats.count < 2 or stats.mean == 0.0:
             continue
-        t = _student_t_critical_cached(confidence, stats.count - 1)
+        t = _t_critical(confidence, stats.count - 1)
         half = t * stats.std / math.sqrt(stats.count)
         if abs(half / stats.mean) <= rel_err:
             return True

@@ -35,6 +35,14 @@ def check_probability(name: str, value: float) -> float:
     return value
 
 
+def check_open_probability(name: str, value: float) -> float:
+    """Return ``value`` if it lies in the open interval (0, 1)."""
+    _check_number(name, value)
+    if not (0.0 < value < 1.0):
+        raise ValueError(f"{name} must be within (0, 1), got {value!r}")
+    return value
+
+
 def check_in(name: str, value: Any, allowed: Iterable[Any]) -> Any:
     """Return ``value`` if it is one of ``allowed``, else raise ValueError."""
     allowed = tuple(allowed)

@@ -24,6 +24,12 @@ class TestCriterion:
         with pytest.raises(ValueError):
             ReliabilityCriterion(rel_err=0.0)
 
+    @pytest.mark.parametrize("confidence", [0.0, 1.0])
+    def test_rejects_closed_end_confidence(self, confidence):
+        # 0.0 made every sample "reliable"; 1.0 gave a NaN rel_precision
+        with pytest.raises(ValueError, match="confidence"):
+            ReliabilityCriterion(confidence=confidence)
+
 
 class TestMeasureUntilReliable:
     def test_constant_signal_stops_at_minimum(self):

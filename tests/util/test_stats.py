@@ -9,12 +9,24 @@ from hypothesis import strategies as st
 
 from repro.util.stats import (
     RunningStats,
+    _t_critical,
     coefficient_of_variation,
     confidence_interval,
+    first_reliable_prefix,
     geometric_mean,
     relative_precision,
     student_t_critical,
 )
+
+#: The confidence levels of the kernel's bit-identity grid (dof 1-2000 each).
+GRID_CONFIDENCES = (0.5, 0.6827, 0.8, 0.9, 0.9545, 0.95, 0.975, 0.99, 0.995, 0.999)
+
+
+def scipy_t_critical(confidence, dof):
+    """The reference: SciPy's Student-t quantile with the kernel's operation order."""
+    from scipy import stats
+
+    return float(stats.t.ppf(1.0 - (1.0 - confidence) / 2.0, dof))
 
 
 class TestStudentT:
@@ -28,6 +40,60 @@ class TestStudentT:
     def test_rejects_bad_dof(self):
         with pytest.raises(ValueError):
             student_t_critical(0.95, 0)
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.1, 1.5, math.nan])
+    def test_rejects_confidence_outside_open_unit_interval(self, confidence):
+        # 1.0 used to give an infinite critical value, 0.0 a zero one
+        with pytest.raises(ValueError, match="confidence"):
+            student_t_critical(confidence, 5)
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0])
+    def test_reliability_rules_reject_closed_ends(self, confidence):
+        rs = RunningStats()
+        for v in (1.0, 5.0, 9.0):
+            rs.add(v)
+        with pytest.raises(ValueError, match="confidence"):
+            rs.relative_precision(confidence)
+        with pytest.raises(ValueError, match="confidence"):
+            rs.is_reliable(0.025, confidence)
+        with pytest.raises(ValueError, match="confidence"):
+            confidence_interval(2.0, 0.0, 3, confidence)
+        with pytest.raises(ValueError, match="confidence"):
+            first_reliable_prefix(RunningStats(), np.ones(6), 0.025, confidence, 5)
+
+
+class TestStudentTKernel:
+    """The lazy ``stdtrit`` kernel equals ``scipy.stats.t.ppf`` bit for bit."""
+
+    @pytest.mark.parametrize("confidence", GRID_CONFIDENCES)
+    def test_bit_identical_to_scipy_stats_on_grid(self, confidence):
+        from scipy import stats
+
+        dofs = np.arange(1, 2001)
+        # t.ppf is elementwise: entry d is t.ppf(p, d) as a scalar call
+        expected = stats.t.ppf(1.0 - (1.0 - confidence) / 2.0, dofs)
+        got = np.array([student_t_critical(confidence, int(d)) for d in dofs])
+        np.testing.assert_array_equal(got, expected)
+        for d in (1, 2, 3, 30, 1999, 2000):
+            assert student_t_critical(confidence, d) == scipy_t_critical(confidence, d)
+
+    @given(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.integers(min_value=1, max_value=10_000),
+    )
+    @settings(max_examples=200)
+    def test_bit_identical_to_scipy_stats_anywhere(self, confidence, dof):
+        assert student_t_critical(confidence, dof) == scipy_t_critical(confidence, dof)
+
+    def test_numpy_scalar_arguments_share_cache_entries(self):
+        _t_critical.cache_clear()
+        expected = scipy_t_critical(0.95, 9)
+        first = student_t_critical(np.float64(0.95), np.int64(9))
+        second = student_t_critical(0.95, 9)
+        assert type(first) is float and type(second) is float
+        assert first == second == expected
+        assert _t_critical.cache_info().hits == 1
+        assert student_t_critical(np.float64(0.9), np.int64(4)) == scipy_t_critical(0.9, 4)
 
 
 class TestConfidenceInterval:
@@ -45,6 +111,14 @@ class TestConfidenceInterval:
 
     def test_relative_precision_zero_for_constant(self):
         assert relative_precision(5.0, 0.0, 10) == 0.0
+
+    def test_relative_precision_equals_running_stats_method(self):
+        rs = RunningStats()
+        for v in (1.0, 1.2, 0.9, 1.1):
+            rs.add(v)
+        t = scipy_t_critical(0.95, 3)
+        assert rs.relative_precision() == abs(t * rs.std / math.sqrt(4) / rs.mean)
+        assert rs.relative_precision() == relative_precision(rs.mean, rs.std, 4)
 
 
 class TestRunningStats:

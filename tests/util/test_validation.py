@@ -8,6 +8,7 @@ from repro.util.validation import (
     check_in,
     check_nonnegative,
     check_nonnegative_int,
+    check_open_probability,
     check_positive,
     check_positive_int,
     check_probability,
@@ -59,6 +60,21 @@ class TestCheckProbability:
     def test_rejects_outside(self, value):
         with pytest.raises(ValueError):
             check_probability("p", value)
+
+
+class TestCheckOpenProbability:
+    @pytest.mark.parametrize("value", [1e-300, 0.5, 0.9999999999999999])
+    def test_accepts_open_unit_interval(self, value):
+        assert check_open_probability("p", value) == value
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, -0.1, 1.1, float("nan")])
+    def test_rejects_closed_ends_and_outside(self, value):
+        with pytest.raises(ValueError, match="p must be within"):
+            check_open_probability("p", value)
+
+    def test_rejects_non_numbers(self):
+        with pytest.raises(TypeError):
+            check_open_probability("p", "0.5")
 
 
 class TestCheckIn:
