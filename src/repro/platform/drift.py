@@ -9,15 +9,15 @@ non-stationarity a first-class, *seeded* phenomenon — a
 so the runtime above (:mod:`repro.runtime.drift_control`) has something
 real to detect and repartition against.
 
-Design mirrors :class:`repro.platform.noise.NoiseModel` and
-:class:`repro.platform.faults.FaultPlan`: every stochastic draw comes
-from a named BLAKE2-derived RNG stream keyed by ``(seed, device,
-window)``, so the same triple always yields the same multiplier
-regardless of query order, and the batched query
-(:meth:`DriftModel.speed_multipliers`) is bit-identical to the scalar
-one — the scalar/batch simulation lanes must see the same platform.
+Every stochastic draw comes from a named BLAKE2-derived RNG stream
+keyed by ``(seed, device, window)`` through :mod:`repro.platform.events`,
+so the same triple always yields the same multiplier regardless of query
+order; a single query (:meth:`DriftModel.speed_multiplier`) is a batch of
+one of :meth:`DriftModel.speed_multipliers`, so every simulation lane
+sees the same platform.
 
-Drift specs are written in the same clause grammar as ``--faults``::
+Drift specs are written in the clause grammar of
+:class:`repro.platform.events.Grammar`, shared with ``--faults``::
 
     throttle:GeForce GTX680:t0=1.5,tau=0.3,floor=0.5; burst:*:p=0.05,x=2,len=0.5; jitter:*:sigma=0.01
 
@@ -34,19 +34,20 @@ Drift specs are written in the same clause grammar as ``--faults``::
 
 Device names match compute-unit / kernel names; ``*`` is a wildcard
 matching any device, exact names win over substring matches which win
-over the wildcard (the :class:`~repro.platform.faults.FaultSpec` rules).
+over the wildcard (:class:`~repro.platform.events.RuleTable`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from repro.util.rng import RngStream, sibling_generators
-from repro.util.validation import check_nonnegative, check_probability
+from repro.platform.events import Grammar, Kind, RuleTable, normals, uniforms
+from repro.util.rng import RngStream
+from repro.util.validation import check_finite, check_nonnegative, check_probability
 
 __all__ = [
     "DeviceDrift",
@@ -85,15 +86,18 @@ class DeviceDrift:
                 f"throttle floor must be in (0, 1], got {self.throttle_floor}"
             )
         check_probability("burst_prob", self.burst_prob)
+        check_finite("burst_factor", self.burst_factor)
         if self.burst_factor < 1.0:
             raise ValueError(
                 f"burst factor must be >= 1, got {self.burst_factor}"
             )
+        check_finite("burst_len_s", self.burst_len_s)
         if self.burst_len_s <= 0.0:
             raise ValueError(
                 f"burst window must be > 0 s, got {self.burst_len_s}"
             )
         check_nonnegative("jitter_sigma", self.jitter_sigma)
+        check_finite("jitter_window_s", self.jitter_window_s)
         if self.jitter_window_s <= 0.0:
             raise ValueError(
                 f"jitter window must be > 0 s, got {self.jitter_window_s}"
@@ -130,69 +134,26 @@ STEADY = DeviceDrift()
 
 
 @dataclass(frozen=True)
-class DriftSpec:
+class DriftSpec(RuleTable[DeviceDrift]):
     """An ordered rule table ``(device_pattern, DeviceDrift)``.
 
-    Lookup precedence mirrors :class:`repro.platform.faults.FaultSpec`:
-    exact name, then substring (kernel names embed their device), then
-    the ``*`` wildcard — first match wins within each tier.
+    Devices match rules by :class:`~repro.platform.events.RuleTable`
+    precedence: exact name, then substring (kernel names embed their
+    device), then the ``*`` wildcard.
     """
 
     rules: tuple[tuple[str, DeviceDrift], ...] = ()
-
-    def for_device(self, device: str) -> DeviceDrift:
-        """The drift profile of one device (STEADY when unmatched)."""
-        device = str(device)
-        wildcard: DeviceDrift | None = None
-        substring: DeviceDrift | None = None
-        for pattern, drift in self.rules:
-            if pattern == device:
-                return drift
-            if pattern == "*":
-                if wildcard is None:
-                    wildcard = drift
-            elif pattern in device and substring is None:
-                substring = drift
-        if substring is not None:
-            return substring
-        return wildcard if wildcard is not None else STEADY
-
-    @property
-    def inert(self) -> bool:
-        """True when no rule can ever move a device off nominal speed."""
-        return all(drift.inert for _, drift in self.rules)
+    unmatched: ClassVar[DeviceDrift] = STEADY
 
 
-def _parse_params(kind: str, text: str, clause: str) -> dict[str, float]:
-    params: dict[str, float] = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(
-                f"bad drift parameter {item!r} in clause {clause!r} "
-                f"(expected key=value)"
-            )
-        try:
-            params[key.strip()] = float(value)
-        except ValueError:
-            raise ValueError(
-                f"bad drift parameter value {value!r} in clause {clause!r}"
-            ) from None
-    allowed = {
-        "throttle": {"t0", "tau", "floor"},
-        "burst": {"p", "x", "len"},
-        "jitter": {"sigma", "w"},
-    }[kind]
-    unknown = set(params) - allowed
-    if unknown:
-        raise ValueError(
-            f"unknown parameter(s) {sorted(unknown)} for {kind!r} "
-            f"in clause {clause!r} (allowed: {sorted(allowed)})"
-        )
-    return params
+_GRAMMAR = Grammar("drift", {
+    "throttle": Kind({"t0": ("throttle_t0_s", float), "tau": ("throttle_tau_s", float),
+                      "floor": ("throttle_floor", float)}, "t0", "<seconds>", resets=True),
+    "burst": Kind({"p": ("burst_prob", float), "x": ("burst_factor", float),
+                   "len": ("burst_len_s", float)}, "p", "<probability>"),
+    "jitter": Kind({"sigma": ("jitter_sigma", float), "w": ("jitter_window_s", float)},
+                   "sigma", "<log-std>"),
+}, default=STEADY)
 
 
 def parse_drift_spec(text: str) -> DriftSpec:
@@ -202,73 +163,12 @@ def parse_drift_spec(text: str) -> DriftSpec:
     ``throttle:<device>:t0=T[,tau=S][,floor=F]`` |
     ``burst:<device>:p=P[,x=F][,len=L]`` |
     ``jitter:<device>:sigma=S[,w=W]``.  Clauses naming the same device
-    merge into one :class:`DeviceDrift`; an empty string yields an
-    empty (inert) spec.
+    merge into one :class:`DeviceDrift`: a repeated ``throttle`` resets
+    an omitted ``tau`` / ``floor`` to its default, while a repeated
+    ``burst`` or ``jitter`` keeps the device's earlier values.  An empty
+    string yields an empty (inert) spec.
     """
-    merged: dict[str, DeviceDrift] = {}
-    order: list[str] = []
-    for raw in text.split(";"):
-        clause = raw.strip()
-        if not clause:
-            continue
-        parts = clause.split(":", 2)
-        if len(parts) != 3:
-            raise ValueError(
-                f"bad drift clause {clause!r} (expected kind:device:params)"
-            )
-        kind, device, params_text = (p.strip() for p in parts)
-        if kind not in ("throttle", "burst", "jitter"):
-            raise ValueError(
-                f"unknown drift kind {kind!r} in clause {clause!r} "
-                f"(expected throttle, burst or jitter)"
-            )
-        if not device:
-            raise ValueError(f"empty device in clause {clause!r}")
-        params = _parse_params(kind, params_text, clause)
-        current = merged.get(device, STEADY)
-        if kind == "throttle":
-            if "t0" not in params:
-                raise ValueError(f"clause {clause!r} needs t0=<seconds>")
-            current = DeviceDrift(
-                throttle_t0_s=params["t0"],
-                throttle_tau_s=params.get("tau", 0.0),
-                throttle_floor=params.get("floor", 0.5),
-                burst_prob=current.burst_prob,
-                burst_factor=current.burst_factor,
-                burst_len_s=current.burst_len_s,
-                jitter_sigma=current.jitter_sigma,
-                jitter_window_s=current.jitter_window_s,
-            )
-        elif kind == "burst":
-            if "p" not in params:
-                raise ValueError(f"clause {clause!r} needs p=<probability>")
-            current = DeviceDrift(
-                throttle_t0_s=current.throttle_t0_s,
-                throttle_tau_s=current.throttle_tau_s,
-                throttle_floor=current.throttle_floor,
-                burst_prob=params["p"],
-                burst_factor=params.get("x", current.burst_factor),
-                burst_len_s=params.get("len", current.burst_len_s),
-                jitter_sigma=current.jitter_sigma,
-                jitter_window_s=current.jitter_window_s,
-            )
-        else:  # jitter
-            if "sigma" not in params:
-                raise ValueError(f"clause {clause!r} needs sigma=<log-std>")
-            current = DeviceDrift(
-                throttle_t0_s=current.throttle_t0_s,
-                throttle_tau_s=current.throttle_tau_s,
-                throttle_floor=current.throttle_floor,
-                burst_prob=current.burst_prob,
-                burst_factor=current.burst_factor,
-                burst_len_s=current.burst_len_s,
-                jitter_sigma=params["sigma"],
-                jitter_window_s=params.get("w", current.jitter_window_s),
-            )
-        if device not in merged:
-            order.append(device)
-        merged[device] = current
-    return DriftSpec(rules=tuple((d, merged[d]) for d in order))
+    return DriftSpec(rules=_GRAMMAR.parse(text))
 
 
 @dataclass(frozen=True)
@@ -279,8 +179,8 @@ class DriftModel:
     ``RngStream(seed).child("drift")``, disjoint from the noise model's
     ``"bench"`` and the fault plan's ``"faults"`` streams) and a
     :class:`DriftSpec`.  Every multiplier is a pure function of
-    ``(seed, device, time window)`` — querying twice, in any order,
-    scalar or batched, yields identical values.
+    ``(seed, device, time window)`` — querying twice, in any order, one
+    device at a time or batched, yields identical values.
 
     The *speed* multiplier combines, in pinned order, the deterministic
     throttle envelope, the burst factor of the burst window containing
@@ -309,44 +209,24 @@ class DriftModel:
         """True when every device always runs at nominal speed."""
         return self.spec.inert
 
-    # ------------------------------------------------------------- scalar
     def speed_multiplier(self, device: str, t_s: float) -> float:
         """The speed multiplier of one device at one simulated time."""
-        check_nonnegative("t_s", t_s)
-        drift = self.spec.for_device(device)
-        if drift.inert:
-            return 1.0
-        value = drift.throttle_envelope(t_s)
-        if drift.burst_prob > 0.0:
-            window = math.floor(t_s / drift.burst_len_s)
-            draw = (
-                self.rng.child(str(device)).child("burst").child(f"w{window}")
-            ).uniform()
-            if draw < drift.burst_prob:
-                value = value * (1.0 / drift.burst_factor)
-        if drift.jitter_sigma > 0.0:
-            window = math.floor(t_s / drift.jitter_window_s)
-            stream = (
-                self.rng.child(str(device)).child("jitter").child(f"w{window}")
-            )
-            value = value * stream.lognormal_factor(drift.jitter_sigma)
-        return value
+        return float(self.speed_multipliers((device,), t_s)[0])
 
     def time_multiplier(self, device: str, t_s: float) -> float:
         """The timing stretch of one device at ``t_s`` (1 / speed)."""
         return 1.0 / self.speed_multiplier(device, t_s)
 
-    # -------------------------------------------------------------- batch
     def speed_multipliers(
         self, devices: Sequence[str], t_s: float
     ) -> np.ndarray:
         """Speed multipliers of MANY devices at one time, in one call.
 
-        Bit-identical to ``[self.speed_multiplier(d, t_s) for d in
-        devices]``: the draws come from the same named streams the
-        scalar path would construct (hashed via
-        :func:`repro.util.rng.sibling_generators`), and the throttle /
-        burst / jitter factors compose in the same pinned order.
+        Entry ``i`` is ``speed_multiplier(devices[i], t_s)``: the
+        throttle envelope, times the burst factor of the burst window
+        containing ``t_s``, times the jitter factor of its jitter window.
+        Each draw comes from the stream ``(device, "burst" | "jitter",
+        f"w{window}")``, one bulk-seeded call per kind.
         """
         check_nonnegative("t_s", t_s)
         names = [str(d) for d in devices]
@@ -357,39 +237,24 @@ class DriftModel:
         for i, drift in enumerate(profiles):
             if not drift.inert:
                 values[i] = drift.throttle_envelope(t_s)
-        prefix = self.rng.path
-        burst_idx = [i for i, d in enumerate(profiles) if d.burst_prob > 0.0]
-        if burst_idx:
+        burst = [i for i, d in enumerate(profiles) if d.burst_prob > 0.0]
+        if burst:
             leaves = [
-                (
-                    names[i],
-                    "burst",
-                    f"w{math.floor(t_s / profiles[i].burst_len_s)}",
-                )
-                for i in burst_idx
+                (names[i], "burst", f"w{math.floor(t_s / profiles[i].burst_len_s)}")
+                for i in burst
             ]
-            gens = sibling_generators(self.rng.seed, prefix, leaves)
-            for i, gen in zip(burst_idx, gens):
-                if float(gen.uniform(0.0, 1.0)) < profiles[i].burst_prob:
+            for i, draw in zip(burst, uniforms(self.rng, (), leaves)):
+                if draw < profiles[i].burst_prob:
                     values[i] = values[i] * (1.0 / profiles[i].burst_factor)
-        jitter_idx = [
-            i for i, d in enumerate(profiles) if d.jitter_sigma > 0.0
-        ]
-        if jitter_idx:
+        jitter = [i for i, d in enumerate(profiles) if d.jitter_sigma > 0.0]
+        if jitter:
             leaves = [
-                (
-                    names[i],
-                    "jitter",
-                    f"w{math.floor(t_s / profiles[i].jitter_window_s)}",
-                )
-                for i in jitter_idx
+                (names[i], "jitter", f"w{math.floor(t_s / profiles[i].jitter_window_s)}")
+                for i in jitter
             ]
-            gens = sibling_generators(self.rng.seed, prefix, leaves)
-            for i, gen in zip(jitter_idx, gens):
-                factor = float(
-                    np.exp(gen.normal(0.0, profiles[i].jitter_sigma))
-                )
-                values[i] = values[i] * factor
+            sigmas = [profiles[i].jitter_sigma for i in jitter]
+            for i, log in zip(jitter, normals(self.rng, (), leaves, sigmas)):
+                values[i] = values[i] * float(np.exp(log))
         return values
 
     def time_multipliers(

@@ -1,0 +1,222 @@
+"""Seeded platform events: one clause grammar, one rule lookup, one draw site.
+
+Kernel faults (:mod:`repro.platform.faults`), speed drift
+(:mod:`repro.platform.drift`) and measurement noise
+(:mod:`repro.platform.noise`) are all seeded per-device events.  This
+module owns the three decisions they share:
+
+* the clause grammar ``kind:<device>:k=v,...; ...`` of ``--faults`` and
+  ``--drift`` (:class:`Grammar`, driven by a table of :class:`Kind`);
+* which rule applies to a device — exact name, then substring, then the
+  ``*`` wildcard (:class:`RuleTable`);
+* where events draw randomness (:func:`uniforms`, :func:`normals`).
+  Every draw comes from its own named BLAKE2-derived stream ``(seed,
+  *rng.path, *prefix, *leaf)``, and the streams of one call are seeded in
+  bulk, so a draw depends only on its path — never on call order or on
+  how many siblings were drawn with it.  A scalar query is a batch of one.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from itertools import repeat
+from typing import Any, Callable, ClassVar, Generic, Mapping, Sequence, TypeVar
+
+import numpy as np
+
+from repro.util.rng import RngStream, sibling_generators
+
+__all__ = ["Grammar", "Kind", "RuleTable", "integral", "normals", "uniforms"]
+
+P = TypeVar("P")
+
+
+# --------------------------------------------------------------- grammar
+def integral(value: float) -> int:
+    """A parameter that must be a whole number (``code=13``, not ``13.7``)."""
+    if not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One clause kind of a :class:`Grammar`.
+
+    ``params`` maps each parameter to ``(profile field, convert)``, where
+    ``convert`` turns the parsed float into the field's value (raising
+    ``ValueError`` to reject it).  ``required`` names the parameter every
+    clause must give, ``hint`` its value in errors (``<probability>``).
+    By default a repeated clause keeps the device's earlier value of each
+    omitted parameter; ``resets`` returns them to the default profile's.
+    ``concrete`` kinds reject the ``*`` wildcard.
+    """
+
+    params: Mapping[str, tuple[str, Callable[[float], Any]]]
+    required: str
+    hint: str
+    resets: bool = False
+    concrete: bool = False
+
+
+@dataclass(frozen=True)
+class Grammar(Generic[P]):
+    """The ``;``-separated clause grammar ``kind:<device>:k=v[,k=v...]``.
+
+    ``noun`` names the spec in errors (``bad fault clause ...``),
+    ``kinds`` lists the clause kinds in the order errors name them, and
+    ``default`` is the profile a device starts from.  Clauses naming the
+    same device merge into one profile with :func:`dataclasses.replace`,
+    so the profile's own validation judges the merged values.
+    """
+
+    noun: str
+    kinds: Mapping[str, Kind]
+    default: P
+
+    def parse(self, text: str) -> tuple[tuple[str, P], ...]:
+        """The ``(device, profile)`` rules of ``text``, in first-mention order."""
+        merged: dict[str, P] = {}
+        for raw in text.split(";"):
+            clause = raw.strip()
+            if not clause:
+                continue
+            parts = clause.split(":", 2)
+            if len(parts) != 3:
+                raise ValueError(
+                    f"bad {self.noun} clause {clause!r} "
+                    f"(expected kind:device:params)"
+                )
+            name, device, params_text = (p.strip() for p in parts)
+            kind = self.kinds.get(name)
+            if kind is None:
+                *rest, last = self.kinds
+                raise ValueError(
+                    f"unknown {self.noun} kind {name!r} in clause {clause!r} "
+                    f"(expected {', '.join(rest)} or {last})"
+                )
+            if not device:
+                raise ValueError(f"empty device in clause {clause!r}")
+            values = self._params(name, kind, params_text, clause)
+            if kind.concrete and device == "*":
+                raise ValueError(
+                    f"{name} clauses must name a concrete device, "
+                    f"got {clause!r}"
+                )
+            if kind.required not in values:
+                raise ValueError(
+                    f"clause {clause!r} needs {kind.required}={kind.hint}"
+                )
+            fields = {kind.params[key][0]: value for key, value in values.items()}
+            if kind.resets:
+                fields = {f: getattr(self.default, f) for f, _ in kind.params.values()} | fields
+            merged[device] = replace(merged.get(device, self.default), **fields)
+        return tuple(merged.items())
+
+    def _params(
+        self, name: str, kind: Kind, text: str, clause: str
+    ) -> dict[str, Any]:
+        raw: dict[str, tuple[str, float]] = {}
+        for item in text.split(","):
+            item = item.strip()
+            if not item:
+                continue
+            key, sep, value = item.partition("=")
+            if not sep:
+                raise ValueError(
+                    f"bad {self.noun} parameter {item!r} in clause {clause!r} "
+                    f"(expected key=value)"
+                )
+            try:
+                raw[key.strip()] = (value, float(value))
+            except ValueError:
+                raise self._bad_value(value, clause) from None
+        unknown = set(raw) - set(kind.params)
+        if unknown:
+            raise ValueError(
+                f"unknown parameter(s) {sorted(unknown)} for {name!r} "
+                f"in clause {clause!r} (allowed: {sorted(kind.params)})"
+            )
+        values = {}
+        for key, (value, number) in raw.items():
+            try:
+                values[key] = kind.params[key][1](number)
+            except ValueError:
+                raise self._bad_value(value, clause) from None
+        return values
+
+    def _bad_value(self, value: str, clause: str) -> ValueError:
+        return ValueError(
+            f"bad {self.noun} parameter value {value!r} in clause {clause!r}"
+        )
+
+
+# ---------------------------------------------------------------- lookup
+@dataclass(frozen=True)
+class RuleTable(Generic[P]):
+    """An ordered rule table ``(device_pattern, profile)``.
+
+    Lookup precedence: exact name, then substring (kernel names embed
+    their device, e.g. ``gpu-gemm-v3[node.Tesla C870]``, so a rule for
+    ``Tesla C870`` reaches that GPU's kernels), then the ``*`` wildcard —
+    first match wins within each tier, so ``fail:*:p=1; fail:gpu0:p=0``
+    exempts ``gpu0``.  Subclasses set ``unmatched``, the profile of a
+    device no rule names.
+    """
+
+    rules: tuple[tuple[str, P], ...] = ()
+    unmatched: ClassVar[Any] = None
+
+    def for_device(self, device: str) -> P:
+        """The profile of one device (``unmatched`` when no rule matches)."""
+        device = str(device)
+        wildcard = substring = None
+        for pattern, profile in self.rules:
+            if pattern == device:
+                return profile
+            if pattern == "*":
+                if wildcard is None:
+                    wildcard = profile
+            elif pattern in device and substring is None:
+                substring = profile
+        if substring is not None:
+            return substring
+        return wildcard if wildcard is not None else self.unmatched
+
+    @property
+    def inert(self) -> bool:
+        """True when no rule can ever move a device off its default."""
+        return all(profile.inert for _, profile in self.rules)
+
+
+# ----------------------------------------------------------------- draws
+def uniforms(
+    rng: RngStream, prefix: Sequence[object], leaves: Sequence[object]
+) -> np.ndarray:
+    """One uniform ``[0, 1)`` draw per stream ``(*rng.path, *prefix, *leaf)``.
+
+    Entry ``i`` equals ``rng.child(p)...child(leaf_i).uniform()`` walked
+    one name at a time; a tuple leaf spells several trailing names.
+    """
+    gens = sibling_generators(rng.seed, (*rng.path, *prefix), leaves)
+    return np.array([g.uniform(0.0, 1.0) for g in gens])
+
+
+def normals(
+    rng: RngStream,
+    prefix: Sequence[object],
+    leaves: Sequence[object],
+    sigma: float | Sequence[float],
+) -> np.ndarray:
+    """One ``N(0, sigma)`` draw per stream (see :func:`uniforms`).
+
+    ``sigma`` is one scale for every stream or one per leaf.  Seeding is
+    bulk, but each stream still draws its own normal: ``Generator.normal``
+    is ziggurat rejection sampling, which consumes a data-dependent number
+    of raw draws, and NumPy samples many values only from ONE
+    bit-generator.  So the draw stays per stream, which keeps entry ``i``
+    equal to the walked stream's draw.
+    """
+    gens = sibling_generators(rng.seed, (*rng.path, *prefix), leaves)
+    scales = repeat(sigma) if np.isscalar(sigma) else sigma
+    return np.array([g.normal(0.0, s) for g, s in zip(gens, scales)])

@@ -7,16 +7,18 @@ first-class, *seeded* phenomena so the fault-tolerance machinery above
 (measurement retries, degraded-mode repartitioning) can be tested with
 bit-reproducible fault sequences.
 
-Design mirrors :class:`repro.platform.noise.NoiseModel`: every draw comes
-from a named BLAKE2-derived RNG stream keyed by ``(seed, device,
-context...)``, so the same ``(seed, device, stream)`` triple always yields
-the same fault sequence regardless of code-path order, and a batched query
-(:meth:`FaultPlan.kernel_outcomes_batch`) is bit-identical to the scalar
-one.  Retry attempts get their own stream leaf (``a0``, ``a1``, ...), so a
-repetition that failed on the first attempt can deterministically succeed
-on the second — without that, retrying would be pointless.
+Every draw comes from a named BLAKE2-derived RNG stream keyed by
+``(seed, device, context...)`` through :mod:`repro.platform.events`, so
+the same ``(seed, device, stream)`` triple always yields the same fault
+sequence regardless of code-path order; a single query
+(:meth:`FaultPlan.kernel_outcome`) is a batch of one of
+:meth:`FaultPlan.kernel_outcomes_batch`.  Retry attempts get their own
+stream leaf (``a0``, ``a1``, ...), so a repetition that failed on the
+first attempt can deterministically succeed on the second — without
+that, retrying would be pointless.
 
-Fault specs are written in a tiny clause grammar (the CLI's ``--faults``)::
+Fault specs are written in the clause grammar of
+:class:`repro.platform.events.Grammar` (the CLI's ``--faults``)::
 
     fail:GeForce GTX680:p=0.05,code=13; spike:*:p=0.01,x=8; drop:Tesla C870:t=1.5
 
@@ -34,11 +36,13 @@ matching any device (exact rules win).  Drops must name a concrete device.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from repro.util.rng import RngStream, sibling_generators
-from repro.util.validation import check_nonnegative, check_probability
+from repro.platform.events import Grammar, Kind, RuleTable, integral, uniforms
+from repro.util.rng import RngStream
+from repro.util.validation import check_finite, check_nonnegative, check_probability
 
 
 class KernelFaultError(RuntimeError):
@@ -73,6 +77,7 @@ class DeviceFaults:
     def __post_init__(self) -> None:
         check_probability("fail_prob", self.fail_prob)
         check_probability("spike_prob", self.spike_prob)
+        check_finite("spike_factor", self.spike_factor)
         if self.spike_factor < 1.0:
             raise ValueError(
                 f"spike_factor must be >= 1, got {self.spike_factor}"
@@ -120,34 +125,15 @@ _OK = KernelOutcome()
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(RuleTable[DeviceFaults]):
     """An ordered rule table ``(device_pattern, DeviceFaults)``.
 
-    Lookup precedence: exact name, then substring (kernel names embed
-    their device, e.g. ``gpu-gemm-v3[node.Tesla C870]``, so
-    ``fail:Tesla C870:p=0.1`` targets that GPU's kernels), then the ``*``
-    wildcard — first match wins within each tier, so ``fail:*:p=1;
-    fail:gpu0:p=0`` exempts ``gpu0``.
+    Devices match rules by :class:`~repro.platform.events.RuleTable`
+    precedence: exact name, then substring, then the ``*`` wildcard.
     """
 
     rules: tuple[tuple[str, DeviceFaults], ...] = ()
-
-    def for_device(self, device: str) -> DeviceFaults:
-        """The fault profile of one device (HEALTHY when unmatched)."""
-        device = str(device)
-        wildcard: DeviceFaults | None = None
-        substring: DeviceFaults | None = None
-        for pattern, faults in self.rules:
-            if pattern == device:
-                return faults
-            if pattern == "*":
-                if wildcard is None:
-                    wildcard = faults
-            elif pattern in device and substring is None:
-                substring = faults
-        if substring is not None:
-            return substring
-        return wildcard if wildcard is not None else HEALTHY
+    unmatched: ClassVar[DeviceFaults] = HEALTHY
 
     def drops(self) -> tuple[DeviceDrop, ...]:
         """Every configured device drop, ordered by (time, device)."""
@@ -158,38 +144,14 @@ class FaultSpec:
         ]
         return tuple(sorted(found, key=lambda d: (d.time_s, d.device)))
 
-    @property
-    def inert(self) -> bool:
-        """True when no rule can ever perturb a kernel invocation."""
-        return all(faults.inert for _, faults in self.rules)
 
-
-def _parse_params(kind: str, text: str, clause: str) -> dict[str, float]:
-    params: dict[str, float] = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(
-                f"bad fault parameter {item!r} in clause {clause!r} "
-                f"(expected key=value)"
-            )
-        try:
-            params[key.strip()] = float(value)
-        except ValueError:
-            raise ValueError(
-                f"bad fault parameter value {value!r} in clause {clause!r}"
-            ) from None
-    allowed = {"fail": {"p", "code"}, "spike": {"p", "x"}, "drop": {"t"}}[kind]
-    unknown = set(params) - allowed
-    if unknown:
-        raise ValueError(
-            f"unknown parameter(s) {sorted(unknown)} for {kind!r} "
-            f"in clause {clause!r} (allowed: {sorted(allowed)})"
-        )
-    return params
+_GRAMMAR = Grammar("fault", {
+    "fail": Kind({"p": ("fail_prob", float), "code": ("error_code", integral)},
+                 "p", "<probability>"),
+    "spike": Kind({"p": ("spike_prob", float), "x": ("spike_factor", float)},
+                  "p", "<probability>"),
+    "drop": Kind({"t": ("drop_time_s", float)}, "t", "<seconds>", concrete=True),
+}, default=HEALTHY)
 
 
 def parse_fault_spec(text: str) -> FaultSpec:
@@ -198,67 +160,11 @@ def parse_fault_spec(text: str) -> FaultSpec:
     ``clause (';' clause)*`` where each clause is
     ``fail:<device>:p=P[,code=C]`` | ``spike:<device>:p=P[,x=F]`` |
     ``drop:<device>:t=T``.  Clauses naming the same device merge into one
-    :class:`DeviceFaults`; an empty string yields an empty (inert) spec.
+    :class:`DeviceFaults`, a repeated clause keeping the device's earlier
+    ``code`` / ``x`` when it omits them; an empty string yields an empty
+    (inert) spec.
     """
-    merged: dict[str, DeviceFaults] = {}
-    order: list[str] = []
-    for raw in text.split(";"):
-        clause = raw.strip()
-        if not clause:
-            continue
-        parts = clause.split(":", 2)
-        if len(parts) != 3:
-            raise ValueError(
-                f"bad fault clause {clause!r} (expected kind:device:params)"
-            )
-        kind, device, params_text = (p.strip() for p in parts)
-        if kind not in ("fail", "spike", "drop"):
-            raise ValueError(
-                f"unknown fault kind {kind!r} in clause {clause!r} "
-                f"(expected fail, spike or drop)"
-            )
-        if not device:
-            raise ValueError(f"empty device in clause {clause!r}")
-        params = _parse_params(kind, params_text, clause)
-        current = merged.get(device, HEALTHY)
-        if kind == "fail":
-            if "p" not in params:
-                raise ValueError(f"clause {clause!r} needs p=<probability>")
-            current = DeviceFaults(
-                fail_prob=params["p"],
-                error_code=int(params.get("code", current.error_code)),
-                spike_prob=current.spike_prob,
-                spike_factor=current.spike_factor,
-                drop_time_s=current.drop_time_s,
-            )
-        elif kind == "spike":
-            if "p" not in params:
-                raise ValueError(f"clause {clause!r} needs p=<probability>")
-            current = DeviceFaults(
-                fail_prob=current.fail_prob,
-                error_code=current.error_code,
-                spike_prob=params["p"],
-                spike_factor=params.get("x", current.spike_factor),
-                drop_time_s=current.drop_time_s,
-            )
-        else:  # drop
-            if device == "*":
-                raise ValueError(
-                    f"drop clauses must name a concrete device, got {clause!r}"
-                )
-            if "t" not in params:
-                raise ValueError(f"clause {clause!r} needs t=<seconds>")
-            current = DeviceFaults(
-                fail_prob=current.fail_prob,
-                error_code=current.error_code,
-                spike_prob=current.spike_prob,
-                spike_factor=current.spike_factor,
-                drop_time_s=params["t"],
-            )
-        if device not in merged:
-            order.append(device)
-        merged[device] = current
-    return FaultSpec(rules=tuple((d, merged[d]) for d in order))
+    return FaultSpec(rules=_GRAMMAR.parse(text))
 
 
 @dataclass(frozen=True)
@@ -299,7 +205,7 @@ class FaultPlan:
     ``RngStream(seed).child("faults")``, disjoint from the noise model's
     ``"bench"`` stream) and a :class:`FaultSpec`.  Every outcome is a pure
     function of ``(seed, device, context)`` — querying twice, in any
-    order, scalar or batched, yields identical decisions.
+    order, one at a time or batched, yields identical decisions.
     """
 
     rng: RngStream
@@ -329,18 +235,11 @@ class FaultPlan:
         attempt, ...) exactly like :meth:`NoiseModel.perturb`; the same
         context always yields the same decision.
         """
-        faults = self.spec.for_device(device)
-        if faults.inert:
-            return _OK
-        stream = self.rng.child(str(device))
-        for part in context:
-            stream = stream.child(str(part))
-        if faults.fail_prob > 0.0:
-            if stream.child("fail").uniform() < faults.fail_prob:
-                return KernelOutcome(failed=True, error_code=faults.error_code)
-        if faults.spike_prob > 0.0:
-            if stream.child("spike").uniform() < faults.spike_prob:
-                return KernelOutcome(spike_factor=faults.spike_factor)
+        failed, factors, code = self.kernel_outcomes_batch(device, context, [()])
+        if failed[0]:
+            return KernelOutcome(failed=True, error_code=code)
+        if factors[0] != 1.0:
+            return KernelOutcome(spike_factor=float(factors[0]))
         return _OK
 
     def kernel_outcomes_batch(
@@ -352,10 +251,10 @@ class FaultPlan:
         """Fault decisions for many repetitions of one invocation context.
 
         Returns ``(failed_mask, spike_factors, error_code)``; entry ``i``
-        is bit-identical to ``kernel_outcome(device, *context,
+        is the decision for the invocation named ``(*context,
         *rep_keys[i])`` (rep keys may be tuples of trailing path
-        components, e.g. ``("r3", "a0")``).  The shared path prefix is
-        hashed once, exactly like :meth:`NoiseModel.perturb_batch`.
+        components, e.g. ``("r3", "a0")``).  A failed invocation draws no
+        spike.
         """
         n = len(rep_keys)
         failed = np.zeros(n, dtype=bool)
@@ -364,18 +263,12 @@ class FaultPlan:
         if faults.inert:
             return failed, factors, faults.error_code
         keys = [key if isinstance(key, tuple) else (key,) for key in rep_keys]
-        prefix = (*self.rng.path, str(device), *context)
+        prefix = (str(device), *context)
         if faults.fail_prob > 0.0:
-            gens = sibling_generators(
-                self.rng.seed, prefix, [(*key, "fail") for key in keys]
-            )
-            draws = np.array([g.uniform(0.0, 1.0) for g in gens])
+            draws = uniforms(self.rng, prefix, [(*key, "fail") for key in keys])
             failed = draws < faults.fail_prob
         if faults.spike_prob > 0.0:
-            gens = sibling_generators(
-                self.rng.seed, prefix, [(*key, "spike") for key in keys]
-            )
-            draws = np.array([g.uniform(0.0, 1.0) for g in gens])
+            draws = uniforms(self.rng, prefix, [(*key, "spike") for key in keys])
             factors = np.where(
                 ~failed & (draws < faults.spike_prob),
                 faults.spike_factor,

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.util.rng import RngStream, sibling_generators
+from repro.platform.events import normals, uniforms
+from repro.util.rng import RngStream
 from repro.util.validation import check_nonnegative
 
 
@@ -67,14 +68,7 @@ class NoiseModel:
         """
         if self._passes_through(seconds):
             return seconds
-        stream = self.rng
-        for part in context:
-            stream = stream.child(str(part))
-        value = seconds * stream.lognormal_factor(self.sigma)
-        if self.outlier_prob > 0.0:
-            if stream.child("outlier").uniform() < self.outlier_prob:
-                value *= self.outlier_factor
-        return value
+        return float(self.perturb_batch(seconds, context, [()])[0])
 
     def draw(
         self, context: Sequence[object], leaves: Sequence[object]
@@ -89,33 +83,17 @@ class NoiseModel:
         zero ``outlier_prob`` gives no outliers.
         """
         n = len(leaves)
-        prefix = (*self.rng.path, *context)
         factors = np.ones(n)
         outliers = np.zeros(n, dtype=bool)
         if self.sigma > 0.0:
-            gens = sibling_generators(self.rng.seed, prefix, leaves)
-            # Seeding is bulk (one kernel call for all streams), but each
-            # stream still draws its own normal: ``Generator.normal`` is
-            # ziggurat rejection sampling, which consumes a data-dependent
-            # number of raw draws, and NumPy samples many values only
-            # from ONE bit-generator.  So the draw stays per stream to
-            # keep entry i equal to the scalar path's draw, which the
-            # hypothesis suite (tests/platform/test_noise_properties.py)
-            # locks with outliers enabled.
-            factors = np.exp([g.normal(0.0, self.sigma) for g in gens])
+            factors = np.exp(normals(self.rng, context, leaves, self.sigma))
         if self.outlier_prob > 0.0:
-            gens = sibling_generators(
-                self.rng.seed,
-                prefix,
-                [
-                    (*leaf, "outlier") if isinstance(leaf, tuple)
-                    else (leaf, "outlier")
-                    for leaf in leaves
-                ],
-            )
-            outliers = (
-                np.array([g.uniform(0.0, 1.0) for g in gens]) < self.outlier_prob
-            )
+            outlier_leaves = [
+                (*leaf, "outlier") if isinstance(leaf, tuple) else (leaf, "outlier")
+                for leaf in leaves
+            ]
+            draws = uniforms(self.rng, context, outlier_leaves)
+            outliers = draws < self.outlier_prob
         return factors, outliers
 
     def apply(self, seconds: float, factor: float, outlier: bool) -> float:
@@ -135,10 +113,10 @@ class NoiseModel:
     ) -> np.ndarray:
         """Noisy versions of ONE ideal timing for many repetitions at once.
 
-        Bit-identical to ``[self.perturb(seconds, *context, key) for key in
-        rep_keys]``: the (device, size, contention) part of the stream path
-        is hashed once, and each repetition's draws come from the same named
-        child streams the scalar path would construct (see :meth:`draw`).
+        Entry ``i`` is ``self.perturb(seconds, *context, rep_keys[i])``:
+        the (device, size, contention) part of the stream path is hashed
+        once, and each repetition draws from its own named child stream
+        (see :meth:`draw`).
         """
         if self._passes_through(seconds):
             return np.full(len(rep_keys), float(seconds))

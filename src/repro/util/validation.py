@@ -11,6 +11,14 @@ import math
 from typing import Any, Iterable, Sequence
 
 
+def check_finite(name: str, value: float) -> float:
+    """Return ``value`` if it is a finite number (not NaN or +/-inf)."""
+    _check_number(name, value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 def check_positive(name: str, value: float) -> float:
     """Return ``value`` if it is a finite number > 0, else raise ValueError."""
     _check_number(name, value)

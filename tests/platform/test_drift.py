@@ -12,6 +12,7 @@ from repro.platform.drift import (
     DriftSpec,
     parse_drift_spec,
 )
+from tests.oracles import platform_events as oracle
 
 
 class TestDeviceDrift:
@@ -57,6 +58,21 @@ class TestDeviceDrift:
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
             DeviceDrift(**kwargs)
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("burst:*:p=1,x=nan", "burst_factor"),
+            ("burst:*:p=1,x=inf", "burst_factor"),
+            ("burst:*:p=1,len=nan", "burst_len_s"),
+            ("burst:*:p=1,len=inf", "burst_len_s"),
+            ("jitter:*:sigma=0.1,w=nan", "jitter_window_s"),
+            ("jitter:*:sigma=0.1,w=inf", "jitter_window_s"),
+        ],
+    )
+    def test_rejects_non_finite_knobs(self, text, field):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            parse_drift_spec(text)
 
 
 class TestParseDriftSpec:
@@ -186,19 +202,27 @@ class TestScalarBatchBitIdentity:
     @pytest.mark.parametrize("t_s", [0.0, 0.35, 1.0, 2.0, 3.3, 17.77])
     def test_speed_multipliers_bit_identical(self, t_s):
         model = DriftModel.from_spec(self.SPEC, seed=77)
+        walked = np.array(
+            [oracle.speed_multiplier(model, d, t_s) for d in self.DEVICES]
+        )
         scalar = np.array(
             [model.speed_multiplier(d, t_s) for d in self.DEVICES]
         )
         batch = model.speed_multipliers(self.DEVICES, t_s)
-        assert np.array_equal(scalar, batch)
+        assert np.array_equal(scalar, walked)
+        assert np.array_equal(batch, walked)
 
     @pytest.mark.parametrize("t_s", [0.0, 2.0, 9.5])
     def test_time_multipliers_bit_identical(self, t_s):
         model = DriftModel.from_spec(self.SPEC, seed=77)
+        walked = np.array(
+            [1.0 / oracle.speed_multiplier(model, d, t_s) for d in self.DEVICES]
+        )
         scalar = np.array(
             [model.time_multiplier(d, t_s) for d in self.DEVICES]
         )
-        assert np.array_equal(scalar, model.time_multipliers(self.DEVICES, t_s))
+        assert np.array_equal(scalar, walked)
+        assert np.array_equal(model.time_multipliers(self.DEVICES, t_s), walked)
 
     def test_batch_matches_scalar_with_all_kinds_on_one_device(self):
         spec = (
@@ -208,5 +232,6 @@ class TestScalarBatchBitIdentity:
         model = DriftModel.from_spec(spec, seed=13)
         for t_s in np.linspace(0.0, 12.0, 25):
             t = float(t_s)
-            assert model.speed_multipliers(["gpu0"], t)[0] == \
-                model.speed_multiplier("gpu0", t)
+            walked = oracle.speed_multiplier(model, "gpu0", t)
+            assert model.speed_multipliers(["gpu0"], t)[0] == walked
+            assert model.speed_multiplier("gpu0", t) == walked

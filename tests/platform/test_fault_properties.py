@@ -3,7 +3,9 @@
 The fault plan is the seed of everything the fault-tolerance machinery
 does — if two identically-seeded plans ever disagreed, retries, degraded
 partitions and the recovery makespan would all fork.  These properties
-pin the contract for arbitrary seeds, probabilities and contexts.
+pin the contract for arbitrary seeds, probabilities and contexts, and
+hold both public lanes to the stream-chain walk in
+``tests/oracles/platform_events.py``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.platform.faults import FaultPlan, FaultSpec, DeviceFaults
+from tests.oracles import platform_events as oracle
 
 pytestmark = pytest.mark.property
 
@@ -37,9 +40,9 @@ def test_same_seed_yields_identical_sequences(seed, fail_p, spike_p, device, n):
     a = FaultPlan.from_spec(spec, seed=seed)
     b = FaultPlan.from_spec(spec, seed=seed)
     for i in range(n):
-        assert a.kernel_outcome(device, f"r{i}", "a0") == b.kernel_outcome(
-            device, f"r{i}", "a0"
-        )
+        outcome = a.kernel_outcome(device, f"r{i}", "a0")
+        assert outcome == b.kernel_outcome(device, f"r{i}", "a0")
+        assert outcome == oracle.kernel_outcome(b, device, f"r{i}", "a0")
 
 
 @given(seeds, probs, probs, device_names, st.integers(min_value=1, max_value=30))
@@ -50,9 +53,10 @@ def test_batch_bit_identical_to_scalar(seed, fail_p, spike_p, device, n):
     keys = [(f"r{i}", "a0") for i in range(n)]
     failed, factors, _ = plan.kernel_outcomes_batch(device, context, keys)
     for i, key in enumerate(keys):
-        scalar = plan.kernel_outcome(device, *context, *key)
-        assert bool(failed[i]) == scalar.failed
-        assert float(factors[i]) == scalar.spike_factor
+        walked = oracle.kernel_outcome(plan, device, *context, *key)
+        assert plan.kernel_outcome(device, *context, *key) == walked
+        assert bool(failed[i]) == walked.failed
+        assert float(factors[i]) == walked.spike_factor
 
 
 @given(seeds, st.floats(min_value=0.01, max_value=0.99))

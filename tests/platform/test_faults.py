@@ -15,6 +15,7 @@ from repro.platform.faults import (
     RetryPolicy,
     parse_fault_spec,
 )
+from tests.oracles import platform_events as oracle
 
 
 class TestSpecGrammar:
@@ -73,6 +74,32 @@ class TestSpecGrammar:
     def test_bad_clauses_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_fault_spec(bad)
+
+    @pytest.mark.parametrize("code", ["inf", "-inf", "nan", "13.7"])
+    def test_code_must_be_a_finite_integer(self, code):
+        clause = f"fail:gpu0:p=0.1,code={code}"
+        with pytest.raises(ValueError) as info:
+            parse_fault_spec(clause)
+        assert str(info.value) == (
+            f"bad fault parameter value {code!r} in clause {clause!r}"
+        )
+
+    def test_whole_float_code_is_accepted(self):
+        faults = parse_fault_spec("fail:gpu0:p=0.1,code=13.0").for_device("gpu0")
+        assert faults.error_code == 13 and isinstance(faults.error_code, int)
+
+    def test_bad_code_fails_the_experiment_config_fast(self):
+        from repro.experiments.common import ExperimentConfig
+
+        with pytest.raises(ValueError, match="in clause 'fail:a:p=1,code=inf'"):
+            ExperimentConfig(faults="fail:a:p=1,code=inf")
+
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_spike_factor_must_be_finite(self, x):
+        with pytest.raises(ValueError, match="spike_factor"):
+            parse_fault_spec(f"spike:a:p=0.1,x={x}")
+        with pytest.raises(ValueError, match="spike_factor"):
+            DeviceFaults(spike_prob=0.1, spike_factor=float(x))
 
     def test_device_faults_validation(self):
         with pytest.raises(ValueError):
@@ -143,11 +170,12 @@ class TestFaultPlanDeterminism:
         failed, factors, code = plan.kernel_outcomes_batch("gpu", context, rep_keys)
         assert code == 13
         for i, key in enumerate(rep_keys):
-            scalar = plan.kernel_outcome("gpu", *context, *key)
-            assert bool(failed[i]) == scalar.failed
-            assert float(factors[i]) == scalar.spike_factor
+            walked = oracle.kernel_outcome(plan, "gpu", *context, *key)
+            assert plan.kernel_outcome("gpu", *context, *key) == walked
+            assert bool(failed[i]) == walked.failed
+            assert float(factors[i]) == walked.spike_factor
         assert failed.any() and (factors > 1.0).any()
-        # spikes never land on failed entries (the scalar path short-circuits)
+        # spikes never land on failed entries (the walk short-circuits)
         assert not np.any(failed & (factors > 1.0))
 
     def test_drops_sorted_by_time(self):

@@ -1,13 +1,14 @@
-"""Property tests: batch noise perturbation ≡ the scalar path (hypothesis).
+"""Property tests: both noise lanes ≡ the stream-chain walk (hypothesis).
 
 ``NoiseModel.draw`` seeds all of a batch's streams in one bulk call but
 keeps one ``normal`` draw per stream on purpose — each repetition draws
 from its own BLAKE2-seeded PCG64 stream, and vectorising across distinct
-bit-generators cannot reproduce the scalar draws (see the comment in
-:meth:`repro.platform.noise.NoiseModel.draw`).  These properties lock
-the contract that justifies the loop: for arbitrary seeds, sigmas and
-outlier settings, the batch is bit-identical to the scalar walk —
-including the outlier branch.
+bit-generators cannot reproduce the walked draws (see
+:func:`repro.platform.events.normals`).  These properties lock the
+contract that justifies the loop: for arbitrary seeds, sigmas and
+outlier settings, ``perturb_batch``, ``draw``/``apply`` and ``perturb``
+(a batch of one) are bit-identical to the walk in
+``tests/oracles/platform_events.py`` — including the outlier branch.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.platform.noise import NoiseModel
 from repro.util.rng import RngStream
+from tests.oracles import platform_events as oracle
 
 pytestmark = pytest.mark.property
 
@@ -44,10 +46,14 @@ def test_perturb_batch_bit_identical_to_scalar_with_outliers(
     context = ("kernel gpu0", "x123.0", "busy2")
     rep_keys = [f"r{r}" for r in range(reps)]
     batch = noise.perturb_batch(ideal, context, rep_keys)
+    walked = np.array(
+        [oracle.perturb(noise, ideal, *context, key) for key in rep_keys]
+    )
     scalar = np.array(
         [noise.perturb(ideal, *context, key) for key in rep_keys]
     )
-    assert np.array_equal(batch, scalar)
+    assert np.array_equal(batch, walked)
+    assert np.array_equal(scalar, walked)
 
 
 @settings(max_examples=30, deadline=None)
@@ -56,10 +62,14 @@ def test_perturb_batch_bit_identical_without_outliers(seed, sigma, ideal, reps):
     noise = NoiseModel(RngStream(seed).child("bench"), sigma=sigma)
     rep_keys = [f"r{r}" for r in range(reps)]
     batch = noise.perturb_batch(ideal, ("dev", "x1.0"), rep_keys)
+    walked = np.array(
+        [oracle.perturb(noise, ideal, "dev", "x1.0", key) for key in rep_keys]
+    )
     scalar = np.array(
         [noise.perturb(ideal, "dev", "x1.0", key) for key in rep_keys]
     )
-    assert np.array_equal(batch, scalar)
+    assert np.array_equal(batch, walked)
+    assert np.array_equal(scalar, walked)
 
 
 @settings(max_examples=30, deadline=None)
@@ -77,6 +87,6 @@ def test_applied_table_draws_bit_identical_to_scalar(
     leaves = [(f"unit{u}", f"p{p}") for p in range(3) for u in range(units)]
     factors, outliers = noise.draw(("panel",), leaves)
     for leaf, factor, outlier in zip(leaves, factors, outliers):
-        assert noise.apply(ideal, factor, outlier) == noise.perturb(
-            ideal, "panel", *leaf
-        )
+        walked = oracle.perturb(noise, ideal, "panel", *leaf)
+        assert noise.apply(ideal, factor, outlier) == walked
+        assert noise.perturb(ideal, "panel", *leaf) == walked

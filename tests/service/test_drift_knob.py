@@ -130,6 +130,11 @@ def test_drifted_solve_does_not_poison_the_warm_chain(run_service):
         ({"spec": THROTTLE, "seed": 1.5}, "bad-drift-knob"),
         ({"spec": THROTTLE, "tempo": 3}, "unknown-field"),
         ("throttle", "bad-drift-knob"),  # block must be an object
+        # non-finite knobs are spec errors, not internal ones
+        ({"spec": "burst:*:p=1,x=nan"}, "bad-drift-knob"),
+        ({"spec": "burst:*:p=1,x=inf"}, "bad-drift-knob"),
+        ({"spec": "burst:*:p=1,len=nan"}, "bad-drift-knob"),
+        ({"spec": "jitter:*:sigma=0.1,w=nan"}, "bad-drift-knob"),
     ],
 )
 def test_bad_drift_blocks_are_structured_400s(run_service, drift_block, code):

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.util.validation import (
+    check_finite,
     check_in,
     check_nonnegative,
     check_nonnegative_int,
@@ -15,6 +16,21 @@ from repro.util.validation import (
     check_same_length,
     check_sorted_unique,
 )
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("value", [-1e308, -1, 0.0, 2.5])
+    def test_accepts_finite(self, value):
+        assert check_finite("x", value) == value
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_nan_and_inf(self, value):
+        with pytest.raises(ValueError, match="x must be a finite number"):
+            check_finite("x", value)
+
+    def test_rejects_non_numbers(self):
+        with pytest.raises(TypeError):
+            check_finite("x", "1")
 
 
 class TestCheckPositive:
