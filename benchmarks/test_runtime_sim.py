@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.core.batch import batch_models
 from repro.core.partition import partition_fpm
 from repro.core.solver import Solver
 from repro.core.speed_function import SpeedFunction
@@ -41,7 +42,11 @@ def make_cluster(devices=DEVICES):
 
 @pytest.fixture(scope="module")
 def cluster_models():
-    return make_cluster()
+    """The cluster, with its stacked batch held: a batch lives only while
+    held, and the vector lane should time the simulation, not stacking."""
+    models = make_cluster()
+    _held = batch_models(models)
+    yield models
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +99,8 @@ def test_runtime_sim_speedup_gate(cluster_models, cluster_allocations):
             engine=engine,
         )
 
-    # warm the batch cache; the scalar lane, timed once, also pays for
-    # building its per-model rows
+    # warm up (the fixture holds the stacked batch); the scalar lane,
+    # timed once, also pays for building its per-model rows
     run("vector")
 
     vector = _best_of(lambda: run("vector"), reps=3)
@@ -134,8 +139,8 @@ def test_warm_resolve_10000_devices(benchmark, cluster_models):
 def test_warm_resolve_speedup_gate(cluster_models):
     """Warm resolve >= 1.5x over the cold solve it replaces at p=10,000.
 
-    Each cold rep uses a freshly perturbed model list so the batch cache
-    (keyed on model identity) cannot serve it a pre-stacked batch — the
+    Each cold rep uses a freshly perturbed model list so no held batch
+    (they are shared by model identity) can serve it pre-stacked — the
     comparison is against what a cold caller actually pays.  Exact mode
     keeps warm allocations bit-identical to the cold ones
     (tests/core/test_resolve.py), so the ratio is pure restacking cost.
@@ -162,7 +167,9 @@ def test_warm_resolve_speedup_gate(cluster_models):
     for rep in range(reps):
         changed = perturbation(rep)
         updated = list(cluster_models)
-        for i, m in changed.items():
+        # equal but distinct objects: the warm result's batch, shared by
+        # model identity while it is held, must not serve the cold solve
+        for i, m in perturbation(rep).items():
             updated[i] = m
 
         start = time.perf_counter()

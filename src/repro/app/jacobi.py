@@ -158,8 +158,9 @@ class JacobiApp:
             alloc = [base + (1 if i < extra else 0) for i in range(len(names))]
         elif strategy == "fpm":
             models = self.models()
-            continuous = list(Solver().solve(models, float(rows)).allocations)
-            alloc = round_partition(models, continuous, rows)
+            # the held result lets the rounding reuse the solve's rows
+            result = Solver().solve(models, float(rows))
+            alloc = round_partition(models, list(result.allocations), rows)
             alloc = refine_integer_partition(models, alloc)
         elif strategy == "cpm":
             models = self.models()

@@ -238,8 +238,11 @@ class HybridMatMul:
         else:
             if strategy is PartitioningStrategy.FPM:
                 models = self.models_for(units)
-                continuous = list(Solver().solve(models, float(total)).allocations)
-                unit_allocs = round_partition(models, continuous, total)
+                # the held result lets the rounding reuse the solve's rows
+                result = Solver().solve(models, float(total))
+                unit_allocs = round_partition(
+                    models, list(result.allocations), total
+                )
                 unit_allocs = refine_integer_partition(models, unit_allocs)
             else:
                 calibration = cpm_calibration_total or 40.0 * 40.0

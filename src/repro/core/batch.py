@@ -40,7 +40,7 @@ monotone before partitioning, so this path is cold.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+import weakref
 from itertools import chain
 
 import numpy as np
@@ -51,11 +51,13 @@ from repro.core.speed_function import SpeedFunction
 #: (allocation pinned to the segment's upper end) in both twins.
 _TINY_DENOM = 1e-300
 
-#: Retained batch representations; keyed by model-tuple identity so the
-#: repeated solves of benchmarks, services and hierarchical fan-outs skip
-#: the stacking step.  Bounded, so long-lived processes cannot leak.
-_BATCH_CACHE_CAPACITY = 64
-_batch_cache: OrderedDict[tuple, "BatchSpeedModels"] = OrderedDict()
+#: Live batch representations, keyed by the model tuple they stack.  An
+#: entry lives exactly as long as some solve state, result or caller
+#: holds its batch, so a solve and the rounding or simulation that
+#: follows it share one stacking, and a dropped plan frees its rows.
+_batch_cache: weakref.WeakValueDictionary[tuple, "BatchSpeedModels"] = (
+    weakref.WeakValueDictionary()
+)
 
 
 def asum(values) -> float:
@@ -225,12 +227,14 @@ def time_row_at(fn: SpeedFunction, size: float) -> float:
 class BatchSpeedModels:
     """Stacked solver rows of a model set; one matrix query per iteration.
 
-    Build through :func:`batch_models`, which memoises by model identity
-    — services and benchmarks re-partitioning one model set pay the
-    stacking cost once.
+    Build through :func:`batch_models`, which shares a batch with every
+    caller that asks for the same model objects while one of them still
+    holds it — a solve, the rounding after it and the simulation of its
+    plan stack the rows once.
     """
 
     __slots__ = (
+        "__weakref__",
         "fns",
         "count",
         "_kt",
@@ -296,7 +300,8 @@ class BatchSpeedModels:
         inheriting the parent's padding width is harmless.  A replacement
         with more samples than the parent's padding can hold falls back
         to the full rebuild — identical by construction, merely not
-        incremental.
+        incremental.  Like :func:`batch_models`, the result is shared:
+        while it is held, :func:`cached_batch` finds it by its models.
 
         Returns ``self`` unchanged when there is nothing to do.
         """
@@ -329,7 +334,7 @@ class BatchSpeedModels:
         if any(len(fn._sizes) > width for fn in reps.values()):
             for i in reversed(drop):
                 del fns[i]
-            return BatchSpeedModels(tuple(fns))
+            return batch_models(fns)
 
         monotone = np.ones(self.count, dtype=bool)
         monotone[list(self._irregular)] = False
@@ -356,6 +361,8 @@ class BatchSpeedModels:
 
         clone = object.__new__(BatchSpeedModels)
         clone._assign(tuple(fns), out)
+        # findable while held, so rounding on the updated models reuses it
+        _batch_cache.setdefault(clone.fns, clone)
         return clone
 
     # ------------------------------------------------------------ kernels
@@ -464,37 +471,31 @@ class BatchSpeedModels:
 
 
 def cached_batch(models) -> BatchSpeedModels | None:
-    """The memoised batch of exactly these speed functions, if there is one.
+    """The live batch of exactly these speed functions, if there is one.
 
-    A lookup only: nothing is built or evicted.  Callers that receive the
-    model list a solve just used (rounding after ``Solver.solve``, say)
-    get its stacked rows without normalising the models again.
+    A lookup only: nothing is built.  Callers that receive the model
+    list a solve just used (rounding after ``Solver.solve``, say) get its
+    stacked rows without normalising the models again — as long as the
+    solve's result or state is still held somewhere.
     """
-    key = tuple(models)
     try:
-        hit = _batch_cache.get(key)
+        return _batch_cache.get(tuple(models))
     except TypeError:  # an unhashable model; normalising rejects it
         return None
-    if hit is not None:
-        _batch_cache.move_to_end(key)
-    return hit
 
 
 def batch_models(fns) -> BatchSpeedModels:
-    """The (memoised) batch representation of a model sequence.
+    """The batch representation of a model sequence, shared while held.
 
-    The cache is keyed by *identity* of the model tuple's members —
-    callers that hold a model set and solve repeatedly (the partition
-    service, hierarchical fan-out, benchmarks) hit; freshly constructed
-    equal models miss harmlessly.
+    Keyed by the *identity* of the model tuple's members: callers that
+    hold a batch (or a solve state or result carrying one) and ask again
+    for the same model objects get it back; freshly constructed equal
+    models, or models whose last batch holder has gone, build anew.
     """
     key = tuple(fns)
     hit = _batch_cache.get(key)
-    if hit is not None:
-        _batch_cache.move_to_end(key)
-        return hit
-    built = BatchSpeedModels(key)
-    _batch_cache[key] = built
-    while len(_batch_cache) > _BATCH_CACHE_CAPACITY:
-        _batch_cache.popitem(last=False)
-    return built
+    if hit is None:
+        # threads that miss at once each build a correct batch; the
+        # entry keeps the last one
+        hit = _batch_cache[key] = BatchSpeedModels(key)
+    return hit

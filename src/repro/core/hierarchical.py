@@ -38,10 +38,10 @@ from repro.core.integer import round_partition
 from repro.core.partition import (
     FPM_MAX_ITERS,
     FPM_TOLERANCE,
-    partition_fpm,
     partition_fpm_many,
+    partition_fpm_with_state,
 )
-from repro.core.batch import batch_models
+from repro.core.batch import BatchSpeedModels, batch_models
 from repro.core.speed_function import SpeedFunction, SpeedSample
 from repro.obs import get_tracer
 from repro.util.validation import check_positive, check_positive_int
@@ -97,10 +97,11 @@ def aggregate_speed_function(
             raise ValueError(
                 "no sample size fits the node's combined capacity"
             )
+        # held across the solve, so it stacks these rows once
+        batch = batch_models(fns)
         rows = partition_fpm_many(
             fns, grid, tolerance=tolerance, max_iters=max_iters
         )
-        batch = batch_models(tuple(fns))
         samples = []
         for x, allocs in zip(grid, rows):
             times = batch.times_at(allocs)
@@ -174,21 +175,26 @@ def hierarchical_partition(
             ratio = (hi / lo) ** (1.0 / (aggregate_samples - 1))
             grid = [lo * ratio**i for i in range(aggregate_samples)]
 
-        # one aggregate per distinct node build, shared across the fleet
+        # one aggregate per distinct node build, shared across the fleet;
+        # one held batch per build serves its aggregation and every
+        # fan-out solve and rounding below
         node_fns = [
             [as_speed_function(m) for m in units] for units in node_unit_models
         ]
         signatures = [_signature(fns) for fns in node_fns]
         aggregate_of: dict[tuple, SpeedFunction] = {}
+        held: dict[tuple, BatchSpeedModels] = {}
         for fns, sig in zip(node_fns, signatures):
             if sig not in aggregate_of:
+                held[sig] = batch_models(fns)
                 aggregate_of[sig] = aggregate_speed_function(
                     fns, grid, tolerance=tolerance, max_iters=max_iters
                 )
         span.set_attr("distinct_nodes", len(aggregate_of))
 
         node_models = [aggregate_of[sig] for sig in signatures]
-        continuous = partition_fpm(
+        # the solve state keeps its batch alive for the rounding
+        continuous, _warm = partition_fpm_with_state(
             node_models, float(total), tolerance=tolerance, max_iters=max_iters
         )
         node_allocs = round_partition(node_models, continuous, total)
@@ -207,7 +213,7 @@ def hierarchical_partition(
             key = (sig, share)
             found = inner_of.get(key)
             if found is None:
-                inner = partition_fpm(
+                inner, _warm = partition_fpm_with_state(
                     fns, float(share), tolerance=tolerance, max_iters=max_iters
                 )
                 found = tuple(round_partition(fns, inner, share))

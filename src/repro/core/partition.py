@@ -185,8 +185,10 @@ class FpmSolveState:
     :class:`repro.core.solver.SolveResult`); consumed by
     :func:`resolve_fpm`, which reuses the stacked batch representation —
     rebuilding only the rows of changed models — and can seed the
-    Illinois bracket with the previous equal-time ray.  Opaque to
-    callers: hold it, hand it back, never reach inside.
+    Illinois bracket with the previous equal-time ray.  Holding it keeps
+    ``batch`` shared (:func:`repro.core.batch.batch_models`), so rounding
+    or timing the solved models reuses its rows; callers may read the
+    batch (its ``fns`` are the solved models) but never modify it.
     """
 
     batch: BatchSpeedModels

@@ -91,8 +91,8 @@ def run(
     hier = hierarchical_partition(per_node_models, total)
 
     flat_models = [m for models in per_node_models for m in models]
-    flat_cont = list(Solver().solve(flat_models, float(total)).allocations)
-    flat_int = round_partition(flat_models, flat_cont, total)
+    flat = Solver().solve(flat_models, float(total))
+    flat_int = round_partition(flat_models, list(flat.allocations), total)
 
     l1 = sum(abs(a - b) for a, b in zip(hier.flat, flat_int)) / total
     return ClusterResult(

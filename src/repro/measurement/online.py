@@ -75,8 +75,7 @@ class PartialFpmBuilder:
         Memoised until the next measurement lands: rounds that did not
         refine this device hand the *same* model object back, which lets
         the online loop re-solve incrementally (only genuinely refreshed
-        devices rebuild their solver rows) and keeps the batch cache
-        warm.
+        devices rebuild their solver rows) from the solve it holds.
         """
         if self._cached_model is not None:
             return self._cached_model

@@ -384,21 +384,16 @@ def run_with_drift_control(
     solver = Solver()
     block_size = app.node.block_size
 
-    def unit_time(name: str, blocks: float, scale: float = 1.0) -> float:
-        fn = base_fns[name]
-        if scale != 1.0:
-            fn = fn.scaled(scale)
-        return time_row_at(fn, float(blocks))
-
-    def integer_allocations(scaled_fns, continuous) -> list[int]:
-        allocs = round_partition(scaled_fns, list(continuous), total)
-        return refine_integer_partition(scaled_fns, allocs)
+    def integer_allocations(result) -> list[int]:
+        # the warm batch's own models are the live units' models at the
+        # adopted scales; the held result lets the rounding reuse its rows
+        fns = result.warm.batch.fns
+        allocs = round_partition(fns, list(result.allocations), total)
+        return refine_integer_partition(fns, allocs)
 
     # Initial solve through the facade so the warm chain starts here.
     initial = solver.solve([base_fns[name] for name in unit_names], float(total))
-    baseline_allocs = integer_allocations(
-        [base_fns[name] for name in unit_names], initial.allocations
-    )
+    baseline_allocs = integer_allocations(initial)
     baseline_plan = app.plan_from_unit_allocations(n, baseline_allocs)
 
     comm = SimulatedComm(app.binding.num_processes, app.comm_model)
@@ -412,7 +407,8 @@ def run_with_drift_control(
 
     state: dict = {
         "completed": 0,
-        "plan": baseline_plan,
+        "plan": None,
+        "ideals": None,
         "alive": set(unit_names),
         "scales": {name: 1.0 for name in unit_names},
         "warm": (initial, unit_names),
@@ -432,33 +428,35 @@ def run_with_drift_control(
     def alive_units() -> list:
         return [u for u in units if u.name in state["alive"]]
 
-    def expected_times(plan, scales) -> dict[str, float]:
-        return {
-            u.name: unit_time(u.name, plan.allocation_of(u.name), scales[u.name])
+    def adopt(plan) -> None:
+        """Make ``plan`` current, with its alive units' ideal panel times.
+
+        The ideal times depend only on the plan and the alive set, so
+        they are computed here, once, not on every panel.
+        """
+        state["plan"] = plan
+        state["ideals"] = {
+            u.name: time_row_at(base_fns[u.name], float(plan.allocation_of(u.name)))
             for u in alive_units()
         }
 
+    def expected_times(plan) -> dict[str, float]:
+        """The plan's per-unit times under the warm models' scales."""
+        result, names = state["warm"]
+        times = result.warm.batch.times_at(
+            [plan.allocation_of(name) for name in names]
+        )
+        return dict(zip(names, times.tolist()))
+
+    adopt(baseline_plan)
     controller: DriftController | None = None
     if mode == "controller":
-        controller = DriftController(
-            expected_times(baseline_plan, state["scales"]), policy
-        )
+        controller = DriftController(expected_times(baseline_plan), policy)
 
     observe = _panel_observer(drift, noise, n, unit_names)
 
-    def observe_panel(now: float, panel: int) -> dict[str, float]:
-        plan = state["plan"]
-        return observe(
-            now,
-            panel,
-            {
-                u.name: unit_time(u.name, plan.allocation_of(u.name))
-                for u in alive_units()
-            },
-        )
-
     def start_panel(sim: EventSimulator) -> None:
-        obs = observe_panel(sim.now, state["completed"])
+        obs = observe(sim.now, state["completed"], state["ideals"])
         state["obs"] = obs
         duration = max(obs.values()) + state["comm_s"]
         state["inflight"] = sim.schedule(duration, finish_panel)
@@ -477,6 +475,8 @@ def run_with_drift_control(
         """
         live = alive_units()
         prev_result, prev_names = state["warm"]
+        # each rescaled model is built once; the warm rows of the others
+        # already carry their (unchanged) scales
         changed = {
             i: base_fns[name].scaled(scales_new[name])
             for i, name in enumerate(prev_names)
@@ -487,22 +487,16 @@ def run_with_drift_control(
             if changed
             else prev_result
         )
-        scaled_fns = [
-            base_fns[u.name].scaled(scales_new[u.name]) for u in live
-        ]
-        allocs = integer_allocations(scaled_fns, result.allocations)
+        allocs = integer_allocations(result)
         new_plan = app.plan_for_units(n, live, allocs)
         remaining = n - state["completed"]
+        batch = result.warm.batch
         current_compute = max(
-            unit_time(
-                u.name, state["plan"].allocation_of(u.name), scales_new[u.name]
-            )
-            for u in live
+            batch.times_at(
+                [state["plan"].allocation_of(u.name) for u in live]
+            ).tolist()
         )
-        new_compute = max(
-            unit_time(u.name, alloc, scales_new[u.name])
-            for u, alloc in zip(live, allocs)
-        )
+        new_compute = max(batch.times_at(allocs).tolist())
         new_comm_s = panel_comm_s(new_plan, live, state["comm"])
         gain = (
             (current_compute + state["comm_s"]) - (new_compute + new_comm_s)
@@ -529,13 +523,13 @@ def run_with_drift_control(
         state["warm"] = (result, prev_names)
         state["scales"] = dict(state["scales"], **scales_new)
         if commit:
-            state["plan"] = new_plan
+            adopt(new_plan)
             state["comm_s"] = new_comm_s
             state["blocks_migrated"] += moved
             state["switch_s"] += cost
             state["switching"] = sim.schedule(cost, switched)
         if controller is not None:
-            controller.recalibrate(expected_times(state["plan"], state["scales"]))
+            controller.recalibrate(expected_times(state["plan"]))
         return commit
 
     def oracle_check(sim: EventSimulator) -> bool:
@@ -606,11 +600,7 @@ def run_with_drift_control(
             new_names = tuple(
                 name for name in prev_names if name in state["alive"]
             )
-            scaled_fns = [
-                base_fns[name].scaled(state["scales"][name])
-                for name in new_names
-            ]
-            allocs = integer_allocations(scaled_fns, result.allocations)
+            allocs = integer_allocations(result)
             new_plan = app.plan_for_units(n, survivors, allocs)
             survivor_ranks = [r for u in survivors for r in u.member_ranks]
             shrunk = state["comm"].shrink(len(survivor_ranks))
@@ -621,7 +611,7 @@ def run_with_drift_control(
                 policy.recovery,
             )
             state["warm"] = (result, new_names)
-            state["plan"] = new_plan
+            adopt(new_plan)
             state["comm"] = shrunk
             state["comm_s"] = panel_comm_s(new_plan, survivors, shrunk)
             state["blocks_migrated"] += moved
@@ -634,9 +624,7 @@ def run_with_drift_control(
                 )
             )
             if controller is not None:
-                controller.recalibrate(
-                    expected_times(new_plan, state["scales"])
-                )
+                controller.recalibrate(expected_times(new_plan))
             state["switching"] = sim.schedule(cost, switched)
 
         return on_drop

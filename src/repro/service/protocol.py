@@ -56,6 +56,7 @@ import math
 import types
 import typing
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from repro.core.solver import FPM_MAX_ITERS, FPM_TOLERANCE, SolverOptions
@@ -155,8 +156,14 @@ class PartitionRequest:
         Everything that shapes the *models* participates — the node and
         each model knob — while ``total_blocks`` and ``strategy`` do
         not: requests that differ only in size or algorithm share one
-        build, which is what makes coalescing them worthwhile.
+        build, which is what makes coalescing them worthwhile.  Computed
+        once per request: canonicalising the node spec is the costly
+        part, and both this key and :meth:`answer_key` need it.
         """
+        return self._model_key
+
+    @cached_property
+    def _model_key(self) -> str:
         return digest_key(
             "partition",
             {

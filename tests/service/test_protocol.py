@@ -15,7 +15,7 @@ import pytest
 
 from repro import __version__
 from repro.platform.presets import ig_icl_node
-from repro.service import ProtocolError, parse_partition_request
+from repro.service import ProtocolError, parse_partition_request, protocol
 from repro.service.protocol import unknown_spec_fields
 from repro.platform.spec import NodeSpec
 from repro.util.serde import to_jsonable
@@ -250,6 +250,29 @@ def test_model_key_ignores_size_and_strategy():
     assert a.model_key() == b.model_key()
     assert a.answer_key() != b.answer_key()
     assert a.model_key() != c.model_key()
+
+
+def test_a_warm_request_canonicalises_its_spec_once(
+    run_service, body, monkeypatch
+):
+    calls = [0]
+    original = protocol.node_key
+
+    def counted(node):
+        calls[0] += 1
+        return original(node)
+
+    monkeypatch.setattr(protocol, "node_key", counted)
+
+    async def scenario(svc):
+        await svc.handle("POST", "/partition", body(total_blocks=400.0))
+        calls[0] = 0
+        return await svc.handle("POST", "/partition", body(total_blocks=500.0))
+
+    response = run_service(scenario)
+    assert response.status == 200
+    assert response.json["source"] == "warm"
+    assert calls[0] == 1
 
 
 def test_defaults_fill_missing_model_knobs():
