@@ -122,12 +122,13 @@ def test_vectorized_solver_speedup_gate(heterogeneous_models):
 
     Both paths share the Illinois driver and produce bit-identical
     allocations (tests/core/test_batch_identity.py); this gate pins the
-    *reason* the batch path exists.  Best-of-5 timings keep CI noise out
-    of the ratio.
+    *reason* the batch path exists.  The scalar oracle is the test
+    fixture in tests/oracles/partition.py.  Best-of-5 timings keep CI
+    noise out of the ratio.
     """
     import time
 
-    from repro.core.partition import partition_fpm_scalar
+    from tests.oracles.partition import partition_fpm_scalar
 
     total = 1e6
     # the fixture holds the stacked batch; warm the scalar path's

@@ -3,9 +3,10 @@
 Two speedup gates back this PR's headline numbers, each paired with a
 bit-identity suite so the fast path cannot buy speed with drift:
 
-* the batched event lane must hold >= 10x over the scalar event path on
-  a 10,000-device x 100-panel simulated matmul run
-  (tests/runtime/test_panel_loop.py holds the lanes bit-identical);
+* the batched event lane must hold >= 10x over the scalar event path
+  (the oracle in tests/oracles/panel_loop.py) on a 10,000-device x
+  100-panel simulated matmul run (tests/runtime/test_panel_loop.py holds
+  the two bit-identical);
 * a warm :meth:`Solver.resolve` after a handful of model refreshes must
   hold >= 1.5x over the cold solve it replaces at 10,000 devices
   (tests/core/test_resolve.py holds exact mode bit-identical).
@@ -21,6 +22,8 @@ from repro.core.solver import Solver
 from repro.core.speed_function import SpeedFunction
 from repro.runtime.mpi_sim import CommModel, SimulatedComm
 from repro.runtime.panel_loop import simulate_spmd_run
+
+from tests.oracles import panel_loop as oracle
 
 DEVICES = 10_000
 PANELS = 100
@@ -73,7 +76,6 @@ def test_runtime_sim_vector_10000x100(
         cluster_allocations,
         PANELS,
         comm=comm,
-        engine="vector",
     )
     assert len(result.panel_finish_s) == PANELS
     benchmark.extra_info["devices"] = DEVICES
@@ -90,25 +92,24 @@ def test_runtime_sim_speedup_gate(cluster_models, cluster_allocations):
     """
     comm = SimulatedComm(DEVICES, CommModel())
 
-    def run(engine):
-        return simulate_spmd_run(
+    def run(simulate):
+        return simulate(
             cluster_models,
             cluster_allocations,
             PANELS,
             comm=comm,
-            engine=engine,
         )
 
     # warm up (the fixture holds the stacked batch); the scalar lane,
     # timed once, also pays for building its per-model rows
-    run("vector")
+    run(simulate_spmd_run)
 
-    vector = _best_of(lambda: run("vector"), reps=3)
+    vector = _best_of(lambda: run(simulate_spmd_run), reps=3)
     start = time.perf_counter()
-    scalar_result = run("scalar")
+    scalar_result = run(oracle.simulate_spmd_run)
     scalar = time.perf_counter() - start
 
-    assert scalar_result.total_time_s == run("vector").total_time_s
+    assert scalar_result.total_time_s == run(simulate_spmd_run).total_time_s
     assert scalar / vector >= 10.0, (
         f"vectorized event lane speedup degraded: {scalar / vector:.1f}x "
         f"(vector {vector * 1e3:.1f} ms, scalar {scalar * 1e3:.1f} ms)"

@@ -25,7 +25,6 @@ from repro.analysis.registry import Rule, register_rule
 _INTERNALS = frozenset(
     {
         "partition_fpm",
-        "partition_fpm_scalar",
         "partition_fpm_many",
         "partition_cpm",
         # the warm-state solve/re-solve pair the online layers (recovery,

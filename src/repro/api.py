@@ -17,10 +17,6 @@ readable and future knobs can be added without breaking anyone:
 * :func:`run_report` — the full paper-vs-measured report, optionally
   parallel and store-backed.
 
-The pre-``Solver`` :func:`partition` function is deprecated: it still
-works (module ``__getattr__`` serves it with a one-time
-``DeprecationWarning``) but new code should hold a :class:`Solver`.
-
 Async callers (the partition service, notebooks driving many solves)
 use the ``*_async`` variants, which run the synchronous pipeline on a
 worker thread via :func:`asyncio.to_thread`.  ``to_thread`` copies the
@@ -33,7 +29,6 @@ solve — the entry points are async-*safe*, not just async-flavoured.
 from __future__ import annotations
 
 import asyncio
-import warnings
 from typing import Any
 
 from repro.app.matmul import HybridMatMul
@@ -51,7 +46,6 @@ __all__ = [
     "SolveResult",
     "build_models",
     "build_models_async",
-    "partition",  # deprecated, served lazily
     "partition_node",
     "partition_node_async",
     "run_experiment",
@@ -88,43 +82,6 @@ def build_models(
         gpu_points=gpu_points,
         adaptive=adaptive,
     )
-
-
-def _legacy_partition(
-    models: list, total: float, *, strategy: str = "fpm"
-) -> list[float]:
-    """Deprecated: split ``total`` across ``models`` under a strategy.
-
-    The pre-:class:`Solver` entry point; equivalent to
-    ``Solver(strategy=strategy).solve(models, total)``.  ``strategy``
-    accepts the historical names (``"fpm"``, ``"geometric"``, ``"cpm"``,
-    ``"homogeneous"``) plus the canonical ``"even"``.
-    """
-    return list(Solver(strategy=strategy).solve(list(models), total).allocations)
-
-
-#: Deprecated module attributes, served by ``__getattr__`` with a
-#: one-time warning each: name -> (replacement object, message).
-_DEPRECATED = {
-    "partition": (
-        _legacy_partition,
-        "repro.api.partition is deprecated; use repro.api.Solver — e.g. "
-        "Solver(strategy='fpm').solve(models, total).allocations",
-    ),
-}
-_warned_deprecated: set[str] = set()
-
-
-def __getattr__(name: str):
-    # PEP 562: keep the pre-Solver entry points importable while steering
-    # new code (and `repro lint`) toward the Solver facade
-    if name in _DEPRECATED:
-        replacement, message = _DEPRECATED[name]
-        if name not in _warned_deprecated:
-            _warned_deprecated.add(name)
-            warnings.warn(message, DeprecationWarning, stacklevel=2)
-        return replacement
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def partition_node(

@@ -128,7 +128,6 @@ def simulate_execution_events(
     block_size: int,
     *,
     panels: int | None = None,
-    engine: str = "vector",
 ) -> ExecutionResult:
     """Event-driven twin of :func:`simulate_execution`, panel by panel.
 
@@ -137,8 +136,7 @@ def simulate_execution_events(
     synchronised generations (default: all ``n`` main-loop iterations) —
     the substrate for drift, faults, or any per-panel dynamics the
     closed form cannot express.  On static inputs the totals agree with
-    the analytic path to float accumulation order, and the ``vector`` /
-    ``scalar`` engines agree bit-identically
+    the analytic path to float accumulation order
     (:mod:`repro.runtime.panel_loop`).
     """
     check_positive_int("block_size", block_size)
@@ -149,23 +147,17 @@ def simulate_execution_events(
     p = len(compute_per_iter)
     tracer = get_tracer()
     with tracer.span(
-        "exec.simulate_events", category="app", n=n, processes=p, engine=engine
+        "exec.simulate_events", category="app", n=n, processes=p
     ) as span:
-        if engine == "vector":
-            comm_per_iter = comm.pivot_bcast_time(
-                np.asarray(recv_blocks, dtype=float),
-                block_size,
-                participants=p,
-            )
-        else:
-            comm_per_iter = comm.pivot_bcast_time(
-                recv_blocks, block_size, participants=p
-            )
+        comm_per_iter = comm.pivot_bcast_time(
+            np.asarray(recv_blocks, dtype=float),
+            block_size,
+            participants=p,
+        )
         result = simulate_panel_loop(
             compute_per_iter,
             panels if panels is not None else n,
             comm_per_iter,
-            engine=engine,
         )
         span.mark_sim(0.0, result.total_time_s)
         return ExecutionResult(

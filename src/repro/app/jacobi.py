@@ -203,8 +203,6 @@ class JacobiApp:
         self,
         partition: StripPartition,
         iterations: int,
-        *,
-        engine: str = "vector",
     ) -> JacobiResult:
         """Event-engine twin of :meth:`execute`, one panel per sweep.
 
@@ -212,8 +210,7 @@ class JacobiApp:
         (:func:`repro.runtime.panel_loop.simulate_panel_loop`): the halo
         exchange is charged per panel, then every unit sweeps its strip.
         On static inputs the totals agree with the analytic path to float
-        accumulation order; ``vector`` and ``scalar`` engines are
-        bit-identical.
+        accumulation order.
         """
         check_positive_int("iterations", iterations)
         kernels = list(self.unit_kernels().values())
@@ -228,7 +225,7 @@ class JacobiApp:
         ]
         halo_bytes = self.width * CELL_BYTES
         halo = 2.0 * self.comm_model.p2p_time(halo_bytes)
-        result = simulate_panel_loop(sweeps, iterations, halo, engine=engine)
+        result = simulate_panel_loop(sweeps, iterations, halo)
         return JacobiResult(
             iterations=iterations,
             total_time=result.total_time_s,

@@ -360,7 +360,6 @@ class HybridMatMul:
         plan: MatMulPlan,
         *,
         panels: int | None = None,
-        engine: str = "vector",
     ) -> ExecutionResult:
         """Play the run on the event engine, one batched panel per iteration.
 
@@ -375,7 +374,6 @@ class HybridMatMul:
             comm,
             self.node.block_size,
             panels=panels,
-            engine=engine,
         )
 
     def run(

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.export import export_json
@@ -34,24 +33,6 @@ from repro.util.asciiplot import line_plot
 def _runnable_names() -> list[str]:
     """The directly runnable experiments (ablations run via 'ablations')."""
     return [e.name for e in all_experiments() if e.kind != "ablation"]
-
-
-def __getattr__(name: str):
-    # Pre-registry callers read the experiment table from this module;
-    # keep the attribute alive as a deprecated view of the registry.
-    if name == "_EXPERIMENTS":
-        warnings.warn(
-            "repro.cli._EXPERIMENTS is deprecated; use "
-            "repro.experiments.registry (all_experiments/get_experiment)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            e.name: (e.run, e.format_result)
-            for e in all_experiments()
-            if e.kind != "ablation"
-        }
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _plot_fig2(result) -> str:

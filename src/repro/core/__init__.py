@@ -16,9 +16,10 @@ Public surface:
   :func:`repro.core.partition.partition_cpm` /
   :func:`repro.core.partition.partition_homogeneous` — the three data
   partitioning algorithms compared in Section VI (``partition_fpm`` is
-  the vectorized cluster-scale solver; ``partition_fpm_scalar`` is its
-  bit-identical per-model reference oracle, ``partition_fpm_many`` the
-  multi-target variant);
+  the vectorized cluster-scale solver, ``partition_fpm_many`` the
+  multi-target variant; their bit-identical per-model reference oracle
+  is a test fixture in ``tests/oracles/partition.py``, which a change to
+  the solver's kernels must update too);
 * :func:`repro.core.integer.round_partition` — integer block allocation;
 * :func:`repro.core.geometry.column_based_partition` — the
   communication-minimising 2D matrix arrangement (Clarke et al. [17]);
@@ -43,7 +44,6 @@ from repro.core.partition import (
     partition_cpm,
     partition_fpm,
     partition_fpm_many,
-    partition_fpm_scalar,
     partition_homogeneous,
 )
 from repro.core.scheduling import simulate_work_stealing
@@ -69,7 +69,6 @@ __all__ = [
     "partition_cpm",
     "partition_fpm",
     "partition_fpm_many",
-    "partition_fpm_scalar",
     "partition_homogeneous",
     "simulate_work_stealing",
     "Solver",

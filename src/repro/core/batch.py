@@ -21,14 +21,15 @@ and apply the closed form elementwise.
 
 Bit-identity contract
 ---------------------
-Every kernel here has a scalar twin (:func:`allocation_row_at`,
-:func:`time_row_at`) that performs the *same* floating-point operations
-in the *same* order on one model.  The scalar partitioner
-(:func:`repro.core.partition.partition_fpm_scalar`, the reference
-oracle) walks models with the twins; the vectorised partitioner uses the
-matrix kernels — and the two are **bit-identical** on every input, which
-the property suite enforces.  When touching a formula here, change both
-twins or the identity tests will fail.
+Every kernel here has a one-model form that performs the *same*
+floating-point operations in the *same* order: :func:`time_row_at`,
+which drift control uses in production, and the allocation kernel's
+``allocation_row_at``, which lives with the scalar reference partitioner
+in ``tests/oracles/partition.py``.  The oracle walks models with the
+one-model forms; the vectorised partitioner uses the matrix kernels —
+and the two are **bit-identical** on every input, which the property
+suite enforces.  A formula change here must update the oracle too, or
+the identity tests will fail.
 
 Models whose knot times are not non-decreasing (no monotone time
 function, so no well-defined closed-form inverse) fall back to
@@ -39,7 +40,6 @@ monotone before partitioning, so this path is cold.
 
 from __future__ import annotations
 
-import math
 import weakref
 from itertools import chain
 
@@ -48,7 +48,7 @@ import numpy as np
 from repro.core.speed_function import SpeedFunction
 
 #: Denominators below this are treated as the segment's vertical asymptote
-#: (allocation pinned to the segment's upper end) in both twins.
+#: (allocation pinned to the segment's upper end) in every kernel.
 _TINY_DENOM = 1e-300
 
 #: Live batch representations, keyed by the model tuple they stack.  An
@@ -63,7 +63,7 @@ _batch_cache: weakref.WeakValueDictionary[tuple, "BatchSpeedModels"] = (
 def asum(values) -> float:
     """The solver's canonical summation: NumPy pairwise reduction.
 
-    Both the scalar oracle and the vectorised solver total allocations
+    The vectorised solver and its scalar test oracle total allocations
     through this one helper, so their convergence decisions compare the
     *same* float regardless of which path produced the addends.
     """
@@ -167,7 +167,7 @@ def _row_params(fn: SpeedFunction):
 
     Returns ``(sizes, speeds, knot_times, table, monotone)`` with
     ``table`` of shape ``(m + 1, 4)``; cached on the speed function,
-    because the scalar twins below query it once per model per call.
+    because the one-model kernels query it once per model per call.
     """
     cached = getattr(fn, "_solver_row_cache", None)
     if cached is not None:
@@ -185,26 +185,6 @@ def _row_params(fn: SpeedFunction):
     )
     object.__setattr__(fn, "_solver_row_cache", row)
     return row
-
-
-def allocation_row_at(fn: SpeedFunction, finish_time: float) -> float:
-    """Scalar twin of the batched allocation kernel (one model, one T).
-
-    Must mirror :meth:`BatchSpeedModels.allocations_at` operation for
-    operation — the bit-identity tests compare the two directly.
-    """
-    sizes, _, knot_times, table, monotone = _row_params(fn)
-    if not monotone:
-        cap = sizes[-1] if fn.bounded else math.inf
-        return min(fn.max_size_within_time(finish_time), cap)
-    k = int((knot_times < finish_time).sum())
-    a, b, lo, hi = table[k]
-    denom = 1.0 - finish_time * b
-    if abs(denom) < _TINY_DENOM:
-        x = hi
-    else:
-        x = finish_time * a / denom
-    return min(max(x, lo), hi)
 
 
 def time_row_at(fn: SpeedFunction, size: float) -> float:
@@ -369,9 +349,8 @@ class BatchSpeedModels:
     def allocations_at(self, finish_time: float) -> np.ndarray:
         """Every model's largest workload finishing within ``finish_time``.
 
-        The vectorised twin of :func:`allocation_row_at`: one knot-count,
-        one gather, one closed-form evaluation — regardless of model
-        count.
+        One knot-count, one gather, one closed-form evaluation —
+        regardless of model count.
         """
         counts = (self._kt < finish_time).sum(axis=1)
         sel = self._table[self._rows, counts]

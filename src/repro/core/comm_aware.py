@@ -23,10 +23,11 @@ refreshed only at the two entries a move touches, and each candidate
 move's objective comes from exclusive running maxima
 (prefix/suffix) over the device array instead of an O(p) rescan — one
 move costs O(p) NumPy work rather than O(p^2) Python time evaluations.
-:func:`comm_aware_refinement_scalar` keeps the original quadratic walk
-as the reference oracle; the two are **bit-identical** on every input
-(same ``fn.time`` evaluations, same max selections, same sequential
-accept scan), which the equivalence test enforces.
+The original quadratic walk is kept as a test fixture in
+``tests/oracles/comm_aware.py``; the two are **bit-identical** on every
+valid input (same ``fn.time`` evaluations, same max selections, same
+sequential accept scan), which the equivalence test enforces.  A change
+to the move rule here must update the oracle too.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 import numpy as np
 
 from repro.core.fpm import as_speed_function
-from repro.util.validation import check_nonnegative
+from repro.util.validation import check_nonnegative, check_nonnegative_int
 
 
 def predicted_iteration_time(models, allocation, beta: float) -> float:
@@ -86,8 +87,8 @@ def comm_aware_refinement(
     Vectorised: per-device time and perimeter terms are cached arrays
     refreshed only at the entries a move touches, and every candidate
     receiver's objective is evaluated at once through exclusive running
-    maxima — bit-identical to :func:`comm_aware_refinement_scalar`, the
-    original quadratic walk kept as the reference oracle.
+    maxima — bit-identical to the original quadratic walk kept in
+    ``tests/oracles/comm_aware.py``.
 
     Parameters
     ----------
@@ -95,18 +96,30 @@ def comm_aware_refinement(
         Per-unit performance models (time in the same relative units the
         partitioner used).
     allocation:
-        Starting integer allocation (typically the FPM solution).
+        Starting integer allocation (typically the FPM solution); every
+        entry must be a finite, non-negative whole number of blocks.
     beta:
         Seconds of per-iteration broadcast time per pivot block, in the
         same time units as ``models``; derive it as
         ``block_bytes / bandwidth / unit_time_scale``.
+    max_moves:
+        Upper bound on accepted moves (``>= 0``).
     """
     fns = [as_speed_function(m) for m in models]
+    if not fns:
+        raise ValueError("need at least one performance model")
     if len(fns) != len(allocation):
         raise ValueError(
             f"{len(fns)} models but {len(allocation)} allocations"
         )
     check_nonnegative("beta", beta)
+    check_nonnegative_int("max_moves", max_moves)
+    for i, a in enumerate(allocation):
+        if not math.isfinite(a) or a < 0 or a != math.floor(a):
+            raise ValueError(
+                f"allocation[{i}] is {a!r}; expected a non-negative whole "
+                "number of blocks"
+            )
     p = len(fns)
     caps = np.array([fn.max_size if fn.bounded else math.inf for fn in fns])
     alloc = [int(a) for a in allocation]
@@ -184,52 +197,4 @@ def comm_aware_refinement(
             t_inc[i] = inc_time(i)
             c_inc[i] = 2.0 * math.sqrt(alloc[i] + 1)
         current = best_value
-    return alloc
-
-
-def comm_aware_refinement_scalar(
-    models,
-    allocation: list[int],
-    beta: float,
-    max_moves: int = 10_000,
-) -> list[int]:
-    """Reference oracle for :func:`comm_aware_refinement`: the original
-    quadratic hill-climb, one full objective evaluation per candidate
-    move.  Deliberately untouched by the vectorisation — the equivalence
-    test holds the two bit-identical on every input.
-    """
-    fns = [as_speed_function(m) for m in models]
-    if len(fns) != len(allocation):
-        raise ValueError(
-            f"{len(fns)} models but {len(allocation)} allocations"
-        )
-    check_nonnegative("beta", beta)
-    caps = [fn.max_size if fn.bounded else math.inf for fn in fns]
-    alloc = [int(a) for a in allocation]
-    current = predicted_iteration_time(fns, alloc, beta)
-    for _ in range(max_moves):
-        best_trial = None
-        best_value = current
-        # donors: the compute straggler and the comm leader(s)
-        compute_times = [
-            fn.time(a) if a > 0 else 0.0 for fn, a in zip(fns, alloc)
-        ]
-        donors = set()
-        donors.add(max(range(len(alloc)), key=lambda i: compute_times[i]))
-        donors.add(max(range(len(alloc)), key=lambda i: alloc[i]))
-        for donor in donors:
-            if alloc[donor] == 0:
-                continue
-            for receiver in range(len(alloc)):
-                if receiver == donor or alloc[receiver] + 1 > caps[receiver]:
-                    continue
-                trial = list(alloc)
-                trial[donor] -= 1
-                trial[receiver] += 1
-                value = predicted_iteration_time(fns, trial, beta)
-                if value < best_value * (1.0 - 1e-12):
-                    best_trial, best_value = trial, value
-        if best_trial is None:
-            break
-        alloc, current = best_trial, best_value
     return alloc

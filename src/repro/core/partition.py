@@ -20,6 +20,12 @@ Three algorithms are compared in the paper:
 
 All partitioners work in continuous block units; integer allocation is the
 job of :mod:`repro.core.integer`.
+
+:func:`partition_fpm` has one implementation here.  Its per-model
+reference form, which runs the same Illinois driver one model at a
+time, is a test fixture in ``tests/oracles/partition.py``; the identity
+suite holds the two bit-identical, so a change to the driver or its
+kernels must update the oracle too.
 """
 
 from __future__ import annotations
@@ -29,13 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.batch import (
-    BatchSpeedModels,
-    allocation_row_at,
-    asum,
-    batch_models,
-    time_row_at,
-)
+from repro.core.batch import BatchSpeedModels, asum, batch_models
 from repro.core.cpm import ConstantPerformanceModel
 from repro.core.fpm import as_speed_function
 from repro.core.speed_function import SpeedFunction
@@ -78,7 +78,7 @@ def _allocations_at(fns: list[SpeedFunction], finish_time: float) -> list[float]
 
 
 def _check_capacity(caps, total: float) -> None:
-    """Shared infeasibility check; ``asum`` so both twins compare alike."""
+    """Shared infeasibility check; ``asum`` so the oracle compares alike."""
     cap_sum = asum(caps)
     if cap_sum < total:
         raise ValueError(
@@ -100,8 +100,8 @@ def _solve_equal_time(
 
     ``evaluate(T)`` returns the per-processor allocation vector at finish
     time ``T`` (any sequence; totalled through :func:`asum`).  Both
-    :func:`partition_fpm` (batched evaluator) and
-    :func:`partition_fpm_scalar` (per-model twin) run through this one
+    :func:`partition_fpm` (batched evaluator) and the per-model reference
+    partitioner in ``tests/oracles/partition.py`` run through this one
     driver, so every branch decision — bracketing, the false-position /
     bisection choice, the Illinois halving, convergence — is taken on
     bit-identical floats in both.  The residual test is a single
@@ -222,8 +222,8 @@ def partition_fpm(
     iteration evaluates one batched ray-intersection
     (:meth:`BatchSpeedModels.allocations_at`) and one vectorized residual
     test, so a 10 000-device solve costs the same number of NumPy kernels
-    as a 2-device solve.  Allocations are bit-identical to
-    :func:`partition_fpm_scalar`, the per-model reference oracle.
+    as a 2-device solve.  Allocations are bit-identical to the
+    per-model reference partitioner in ``tests/oracles/partition.py``.
 
     Parameters
     ----------
@@ -386,41 +386,6 @@ def resolve_fpm(
             batch=batch, total=new_total, finish_time=t_star
         )
         return scaled, new_state
-
-
-def partition_fpm_scalar(
-    models,
-    total: float,
-    *,
-    tolerance: float = FPM_TOLERANCE,
-    max_iters: int = FPM_MAX_ITERS,
-) -> list[float]:
-    """Reference oracle for :func:`partition_fpm`: one model at a time.
-
-    Runs the *same* Illinois driver with the scalar twin kernels
-    (:func:`repro.core.batch.allocation_row_at` /
-    :func:`repro.core.batch.time_row_at`), so its result is bit-identical
-    to the vectorized solver on every input — the property suite holds
-    the two against each other.  It is deliberately trace-free: a plain
-    readable statement of the algorithm, not a production path.
-    """
-    check_positive("total", total)
-    check_positive("tolerance", tolerance)
-    check_positive_int("max_iters", max_iters)
-    fns = _normalise_models(models)
-    caps = [_capacity(fn) for fn in fns]
-    _check_capacity(caps, total)
-
-    def evaluate(finish_time):
-        return [allocation_row_at(fn, finish_time) for fn in fns]
-
-    t_hi = max(
-        time_row_at(fn, min(total, cap)) for fn, cap in zip(fns, caps)
-    ) + 1e-12
-    allocs, lower, _, _, _ = _solve_equal_time(
-        evaluate, total, t_hi, tolerance=tolerance, max_iters=max_iters
-    )
-    return _rescale(allocs, total, caps, lower)
 
 
 def _row_sums(matrix: np.ndarray) -> np.ndarray:
@@ -702,8 +667,8 @@ def _rescale(allocs, total: float, caps, lower=None) -> list[float]:
     The happy path is vectorised but bit-identical to the scalar loop it
     replaced: sums go through ``np.add.accumulate`` (a strict left fold,
     the same additions in the same order as ``sum``), the clip is the
-    same elementwise ``min``.  Both the batched and the scalar-oracle
-    partitioners finish through this one function, so the identity
+    same elementwise ``min``.  The batched partitioner and its scalar
+    test oracle finish through this one function, so the identity
     contract between them is unaffected.
 
     ``lower`` is the allocation at the other end of the solver's final

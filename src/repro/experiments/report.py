@@ -18,7 +18,6 @@ from repro.experiments import (
     table2_exec_time,
     table3_partitioning,
 )
-from repro.experiments.common import ExperimentConfig
 from repro.experiments import paper_data
 
 
@@ -162,23 +161,3 @@ def shape_checks(
         )
     )
     return checks
-
-
-def full_report(config: ExperimentConfig = ExperimentConfig()) -> str:
-    """Deprecated alias of :func:`repro.experiments.orchestrator.run_full_report`.
-
-    Kept so pre-orchestrator call sites keep working; it runs the same
-    experiments sequentially and without a store.
-    """
-    import warnings
-
-    from repro.experiments.orchestrator import run_full_report
-
-    warnings.warn(
-        "full_report() is deprecated; use "
-        "repro.experiments.orchestrator.run_full_report() (or repro.api."
-        "run_report()), which adds --jobs parallelism and store caching",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_full_report(config)

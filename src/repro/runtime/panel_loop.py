@@ -1,38 +1,39 @@
-"""Cluster-scale SPMD panel-loop simulation: vectorised + scalar oracle.
+"""Cluster-scale SPMD panel-loop simulation.
 
 The paper's iterative data-parallel applications (matmul's broadcast-
 update main loop, Jacobi sweeps) execute ``P`` *panels*: each panel
 distributes pivot data, runs one kernel per device, and completes when
 the slowest device finishes — a barrier.  Simulated one event per device
 per panel on the discrete-event engine, a 10k-device x 100-panel run is
-a million Python heap operations; that scalar walk is kept here as the
-reference oracle.  The production lane instead schedules each panel as
-**one batched drain generation** (:meth:`EventSimulator.schedule_batch`)
-whose fire times come from a single NumPy expression over the device
-array, so the whole run costs O(P) NumPy calls.
+a million Python heap operations.  This module instead schedules each
+panel as **one batched drain generation**
+(:meth:`EventSimulator.schedule_batch`) whose fire times come from a
+single NumPy expression over the device array, so the whole run costs
+O(P) NumPy calls.
 
 Bit-identity contract
 ---------------------
-Both lanes run on the same event engine and perform the same IEEE
-operations elementwise — per-device compute times come from the solver's
-stacked segment tables (:meth:`BatchSpeedModels.times_at`) or their
-scalar twin (:func:`time_row_at`), per-panel collectives from
-:meth:`SimulatedComm.pivot_bcast_time` in array or iterable form — so
-totals, per-panel finish times, per-device compute accumulations and
-``events_processed`` are **bit-identical** between engines.  The
-equivalence suite (tests/runtime/test_panel_loop.py) enforces this, and
-the BENCH_9 gate pins the >= 10x speedup that justifies the batch lane.
+The per-device event walk is kept as a test fixture
+(``tests/oracles/panel_loop.py``), not as a second lane here.  Both run
+on the same event engine and perform the same IEEE operations
+elementwise — per-device compute times from the solver's stacked segment
+tables (:meth:`BatchSpeedModels.times_at`) or their scalar twin
+(:func:`~repro.core.batch.time_row_at`), per-panel collectives from
+:meth:`SimulatedComm.pivot_bcast_time` — so totals, per-panel finish
+times, per-device compute accumulations and ``events_processed`` are
+**bit-identical**.  The identity suites (tests/runtime/test_panel_loop.py
+and the hypothesis suite) enforce this; a change to the panel arithmetic
+here must update the oracle too.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.batch import batch_models, time_row_at
+from repro.core.batch import batch_models
 from repro.core.fpm import as_speed_function
 from repro.obs import get_tracer
 from repro.platform.drift import DriftModel
@@ -40,10 +41,6 @@ from repro.runtime.event_sim import EventSimulator
 from repro.runtime.mpi_sim import SimulatedComm
 from repro.util.units import DEFAULT_BLOCKING_FACTOR
 from repro.util.validation import check_nonnegative, check_positive_int
-
-#: Recognised panel-loop engines: the vectorised batch lane (production)
-#: and the per-event scalar lane (reference oracle).
-ENGINES = ("vector", "scalar")
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,6 @@ class PanelLoopResult:
     compute_time_s: tuple[float, ...]  # per-device accumulated kernel time
     panel_finish_s: tuple[float, ...]  # absolute completion time per panel
     events_processed: int
-    engine: str
 
     @property
     def makespan_computation_s(self) -> float:
@@ -118,47 +114,22 @@ def _run_vector(
     return sim, total, totals, finishes
 
 
-def _run_scalar(
-    compute: np.ndarray,
-    panels: int,
-    comm_s: float,
-    drift: DriftModel | None = None,
-    names: Sequence[str] | None = None,
-):
-    sim = EventSimulator()
-    devices = compute.size
-    totals = np.zeros(devices)
-    finishes = np.empty(panels)
-    effective = compute.copy()
-    state = {"panel": 0, "remaining": devices}
+def _entries(name: str, values) -> np.ndarray:
+    """``values`` as a 1-D float array of finite, non-negative entries.
 
-    def make_finish(i: int):
-        def finish(sim2: EventSimulator) -> None:
-            totals[i] += effective[i]
-            state["remaining"] -= 1
-            if state["remaining"] == 0:
-                k = state["panel"]
-                finishes[k] = sim2.now
-                state["panel"] = k + 1
-                if state["panel"] < panels:
-                    start_panel(sim2)
-
-        return finish
-
-    finishers = [make_finish(i) for i in range(devices)]
-
-    def start_panel(sim2: EventSimulator) -> None:
-        state["remaining"] = devices
-        if drift is not None:
-            now = sim2.now
-            for i in range(devices):
-                effective[i] = compute[i] * drift.time_multiplier(names[i], now)
-        for i in range(devices):
-            sim2.schedule(comm_s + effective[i], finishers[i])
-
-    start_panel(sim)
-    total = sim.run()
-    return sim, total, totals, finishes
+    The error names the first bad index, the contract
+    :func:`repro.core.integer.round_partition` keeps for its input.
+    """
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array, got shape {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(x) | (x < 0.0))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"{name}[{i}] is {x[i]}; expected a finite non-negative number"
+        )
+    return x
 
 
 def simulate_panel_loop(
@@ -166,7 +137,6 @@ def simulate_panel_loop(
     panels: int,
     comm_s: float = 0.0,
     *,
-    engine: str = "vector",
     drift: DriftModel | None = None,
     device_names: Sequence[str] | None = None,
 ) -> PanelLoopResult:
@@ -174,27 +144,20 @@ def simulate_panel_loop(
 
     ``compute_s[i]`` is device ``i``'s kernel time per panel and
     ``comm_s`` the per-panel collective charged before compute; each
-    panel starts when the previous one's slowest device finishes.  The
-    ``vector`` engine schedules each panel as one batched generation;
-    ``scalar`` schedules one event per device (the oracle) — results are
-    bit-identical (module doc).
+    panel starts when the previous one's slowest device finishes, and is
+    scheduled as one batched generation (module doc).
 
     An optional :class:`~repro.platform.drift.DriftModel` makes device
     speed time-varying: each panel's compute times are stretched by the
     per-device drift time-multiplier sampled at the panel's start
-    instant (``device_names`` keys the drift rules).  Both engines query
-    the same multipliers — the vector lane in one batched call, the
-    scalar lane per device — so their results stay bit-identical.
+    instant (``device_names`` keys the drift rules), in one batched
+    multiplier query per panel.
     """
     check_positive_int("panels", panels)
     check_nonnegative("comm_s", comm_s)
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    compute = np.asarray(compute_s, dtype=float)
-    if compute.ndim != 1 or compute.size == 0:
-        raise ValueError("compute_s must be a non-empty 1-D array")
-    if float(compute.min()) < 0:
-        raise ValueError("compute_s entries must be non-negative")
+    compute = _entries("compute_s", compute_s)
+    if compute.size == 0:
+        raise ValueError("compute_s must be non-empty")
     if drift is not None and drift.inert:
         drift = None  # steady platform: keep the precomputed-delay path
     names: tuple[str, ...] | None = None
@@ -213,10 +176,10 @@ def simulate_panel_loop(
         category="runtime",
         devices=int(compute.size),
         panels=panels,
-        engine=engine,
     ) as span:
-        runner = _run_vector if engine == "vector" else _run_scalar
-        sim, total, totals, finishes = runner(compute, panels, comm_s, drift, names)
+        sim, total, totals, finishes = _run_vector(
+            compute, panels, comm_s, drift, names
+        )
         span.mark_sim(0.0, total)
         span.set_attr("events", sim.events_processed)
     comm_total = 0.0
@@ -225,7 +188,7 @@ def simulate_panel_loop(
     if tracer.enabled:
         tracer.counter("runtime.sim.panels").add(panels)
         tracer.counter("runtime.sim.device_events").add(int(compute.size) * panels)
-        tracer.counter(f"runtime.sim.runs.{engine}").add(1)
+        tracer.counter("runtime.sim.runs").add(1)
         hist = tracer.histogram("runtime.sim.panel_s")
         previous = 0.0
         for finish in finishes:
@@ -239,7 +202,6 @@ def simulate_panel_loop(
         compute_time_s=tuple(totals.tolist()),
         panel_finish_s=tuple(finishes.tolist()),
         events_processed=sim.events_processed,
-        engine=engine,
     )
 
 
@@ -251,58 +213,41 @@ def simulate_spmd_run(
     comm: SimulatedComm | None = None,
     block_size: int = DEFAULT_BLOCKING_FACTOR,
     recv_blocks=None,
-    engine: str = "vector",
     drift: DriftModel | None = None,
     device_names: Sequence[str] | None = None,
 ) -> PanelLoopResult:
     """Simulate a P-panel SPMD run of devices described by speed models.
 
     Per-device per-panel compute times come from the stacked segment
-    tables (:meth:`BatchSpeedModels.times_at` on the ``vector`` engine,
-    the :func:`time_row_at` scalar twin on ``scalar``); when a
-    communicator is given, the per-panel collective is the pivot
-    broadcast over the device array, with ``recv_blocks`` defaulting to
-    the square-ish rectangle perimeter ``2 * sqrt(allocation)`` blocks
-    per device.  Engines are bit-identical; ``vector`` costs O(panels)
-    NumPy calls regardless of device count.
+    tables (:meth:`BatchSpeedModels.times_at`); when a communicator is
+    given, the per-panel collective is the pivot broadcast over the
+    device array, with ``recv_blocks`` defaulting to the square-ish
+    rectangle perimeter ``2 * sqrt(allocation)`` blocks per device.
+    ``allocations`` must be a 1-D array of finite, non-negative block
+    counts (integer block lists pass unchanged).  The run costs
+    O(panels) NumPy calls regardless of device count.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     fns = [as_speed_function(m) for m in models]
     if not fns:
         raise ValueError("need at least one performance model")
-    alloc = np.asarray(allocations, dtype=float)
+    alloc = _entries("allocations", allocations)
     if alloc.size != len(fns):
         raise ValueError(
             f"{len(fns)} models but {alloc.size} allocations"
         )
-    if engine == "vector":
-        compute = batch_models(tuple(fns)).times_at(alloc)
-        comm_s = 0.0
-        if comm is not None:
-            recv = (
-                np.asarray(recv_blocks, dtype=float)
-                if recv_blocks is not None
-                else 2.0 * np.sqrt(alloc)
-            )
-            comm_s = comm.pivot_bcast_time(recv, block_size)
-    else:
-        compute = np.array(
-            [time_row_at(fn, float(a)) for fn, a in zip(fns, alloc)]
+    compute = batch_models(tuple(fns)).times_at(alloc)
+    comm_s = 0.0
+    if comm is not None:
+        recv = (
+            np.asarray(recv_blocks, dtype=float)
+            if recv_blocks is not None
+            else 2.0 * np.sqrt(alloc)
         )
-        comm_s = 0.0
-        if comm is not None:
-            recv = (
-                [float(r) for r in recv_blocks]
-                if recv_blocks is not None
-                else [2.0 * math.sqrt(float(a)) for a in alloc]
-            )
-            comm_s = comm.pivot_bcast_time(recv, block_size)
+        comm_s = comm.pivot_bcast_time(recv, block_size)
     return simulate_panel_loop(
         compute,
         panels,
         comm_s,
-        engine=engine,
         drift=drift,
         device_names=device_names,
     )

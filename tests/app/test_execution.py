@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.app import execution
 from repro.app.execution import simulate_execution, simulate_execution_events
 from repro.core.geometry import column_based_partition
 from repro.measurement.binding import default_binding
 from repro.runtime.mpi_sim import CommModel, SimulatedComm
 from repro.runtime.process import bind_processes
+
+from tests.oracles import panel_loop as oracle
 
 
 @pytest.fixture()
@@ -80,14 +83,13 @@ class TestSimulateExecution:
 
 
 class TestSimulateExecutionEvents:
-    def test_engines_bit_identical(self, processes, comm, node):
+    def test_engines_bit_identical(self, processes, comm, node, monkeypatch):
         part = even_partition(12, len(processes))
-        vec = simulate_execution_events(
-            processes, part, comm, node.block_size, engine="vector"
+        vec = simulate_execution_events(processes, part, comm, node.block_size)
+        monkeypatch.setattr(
+            execution, "simulate_panel_loop", oracle.simulate_panel_loop
         )
-        sca = simulate_execution_events(
-            processes, part, comm, node.block_size, engine="scalar"
-        )
+        sca = simulate_execution_events(processes, part, comm, node.block_size)
         assert vec.total_time == sca.total_time
         assert vec.computation_time == sca.computation_time
         assert vec.communication_time == sca.communication_time

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.app import jacobi
 from repro.app.jacobi import (
     JacobiApp,
     StripPartition,
@@ -10,6 +11,8 @@ from repro.app.jacobi import (
     run_partitioned_jacobi,
 )
 from repro.platform.presets import ig_icl_node
+
+from tests.oracles import panel_loop as oracle
 
 
 @pytest.fixture(scope="module")
@@ -113,10 +116,13 @@ class TestExecution:
 
 
 class TestExecuteEvents:
-    def test_engines_bit_identical(self, app):
+    def test_engines_bit_identical(self, app, monkeypatch):
         part = app.plan(30_000, "fpm")
-        vec = app.execute_events(part, 10, engine="vector")
-        sca = app.execute_events(part, 10, engine="scalar")
+        vec = app.execute_events(part, 10)
+        monkeypatch.setattr(
+            jacobi, "simulate_panel_loop", oracle.simulate_panel_loop
+        )
+        sca = app.execute_events(part, 10)
         assert vec.total_time == sca.total_time
         assert vec.sweep_time_per_unit == sca.sweep_time_per_unit
         assert vec.halo_time == sca.halo_time

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.app import execution
 from repro.app.matmul import HybridMatMul, PartitioningStrategy
 from repro.app.verify import verify_partition_numerically
 from repro.core.serialization import load_models, save_models
+
+from tests.oracles import panel_loop as oracle
 
 
 @pytest.fixture(scope="module")
@@ -103,10 +106,13 @@ class TestExecute:
 
 
 class TestExecuteEvents:
-    def test_engines_bit_identical(self, app):
+    def test_engines_bit_identical(self, app, monkeypatch):
         plan = app.plan(24, PartitioningStrategy.FPM)
-        vec = app.execute_events(plan, panels=6, engine="vector")
-        sca = app.execute_events(plan, panels=6, engine="scalar")
+        vec = app.execute_events(plan, panels=6)
+        monkeypatch.setattr(
+            execution, "simulate_panel_loop", oracle.simulate_panel_loop
+        )
+        sca = app.execute_events(plan, panels=6)
         assert vec.total_time == sca.total_time
         assert vec.computation_time == sca.computation_time
         assert vec.communication_time == sca.communication_time

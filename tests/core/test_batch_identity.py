@@ -2,12 +2,13 @@
 
 The cluster-scale solver (:func:`repro.core.partition.partition_fpm`)
 evaluates every model's allocation in one NumPy sweep per Illinois
-iteration; :func:`~repro.core.partition.partition_fpm_scalar` walks the
-same segment tables one model at a time through the shared driver.  The
-contract is *bit-identity* — not closeness — because both paths take the
-same branch decisions on the same floats.  Searched with hypothesis over
-random model sets, and pinned at 2/100/10000 devices with a fixed seed
-so a kernel change that shifts any bit fails loudly.
+iteration; the oracle ``partition_fpm_scalar`` in
+``tests/oracles/partition.py`` walks the same segment tables one model
+at a time through the shared driver.  The contract is *bit-identity* —
+not closeness — because both paths take the same branch decisions on
+the same floats.  Searched with hypothesis over random model sets, and
+pinned at 2/100/10000 devices with a fixed seed so a kernel change that
+shifts any bit fails loudly.
 """
 
 from __future__ import annotations
@@ -21,17 +22,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.hierarchical import hierarchical_partition
-from repro.core.partition import (
-    partition_fpm,
-    partition_fpm_many,
-    partition_fpm_scalar,
-)
+from repro.core.partition import partition_fpm, partition_fpm_many
 from repro.core.speed_function import SpeedFunction, SpeedSample
 
 from tests.core.test_partition_properties import (
     partition_problem,
     strict_speed_function,
 )
+from tests.oracles.partition import partition_fpm_scalar
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.comm_aware import (
-    comm_aware_refinement,
-    comm_aware_refinement_scalar,
-    predicted_iteration_time,
-)
+from repro.core.comm_aware import comm_aware_refinement, predicted_iteration_time
 from repro.core.integer import round_partition
 from repro.core.partition import partition_fpm
 from repro.core.speed_function import SpeedFunction
+
+from tests.oracles.comm_aware import comm_aware_refinement_scalar
 
 
 def constant(speed):
@@ -84,6 +82,28 @@ class TestCommAwareRefinement:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             comm_aware_refinement([constant(1)], [1, 2], beta=0.0)
+
+    def test_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="at least one"):
+            comm_aware_refinement([], [], beta=0.1)
+
+    @pytest.mark.parametrize(
+        "bad", [10.7, -9, float("nan"), float("inf")], ids=repr
+    )
+    def test_rejects_bad_entries_naming_the_index(self, bad):
+        models = [constant(10), constant(20), constant(30)]
+        with pytest.raises(ValueError, match=r"allocation\[1\] is"):
+            comm_aware_refinement(models, [10, bad, 30], beta=0.1)
+
+    def test_accepts_whole_floats(self):
+        models = [constant(10), constant(20), constant(30)]
+        assert comm_aware_refinement(
+            models, [10.0, 20.0, 30.0], beta=0.1
+        ) == comm_aware_refinement(models, [10, 20, 30], beta=0.1)
+
+    def test_rejects_negative_max_moves(self):
+        with pytest.raises(ValueError, match="max_moves"):
+            comm_aware_refinement([constant(1)], [1], beta=0.0, max_moves=-1)
 
     @given(
         speeds=st.lists(

@@ -1,14 +1,13 @@
 """The unified :class:`repro.core.solver.Solver` facade.
 
 Options validation, strategy dispatch against the underlying algorithm
-functions, hierarchical mode, immutability, and the deprecation shim
-that keeps ``repro.api.partition`` alive (warning exactly once).
+functions, hierarchical mode, immutability, and the ``repro.api`` module
+serving no attribute it does not define.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import pytest
 
@@ -167,33 +166,8 @@ def test_hierarchy_solve_carries_the_tree(models):
 
 
 # ---------------------------------------------------------------------------
-# deprecation shim: repro.api.partition
+# repro.api attributes
 # ---------------------------------------------------------------------------
-
-
-def test_api_partition_shim_warns_exactly_once(models):
-    import repro.api as api
-
-    api._warned_deprecated.discard("partition")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        first = api.partition
-        second = api.partition
-    emitted = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(emitted) == 1
-    assert "repro.api.Solver" in str(emitted[0].message)
-    assert first is second
-
-
-def test_api_partition_shim_matches_solver(models):
-    import repro.api as api
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = api.partition(models, 200.0)
-    assert legacy == list(Solver().solve(models, 200.0).allocations)
 
 
 def test_api_unknown_attribute_still_raises():

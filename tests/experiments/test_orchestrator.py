@@ -139,13 +139,6 @@ class TestWarmReport:
         assert len(experiment_spans) == len(REPORT_EXPERIMENTS)
         assert all(s.attrs.get("cache_hit") for s in experiment_spans)
 
-    def test_report_text_matches_the_legacy_path(self, fast_config):
-        from repro.experiments.report import full_report
-
-        with pytest.deprecated_call():
-            legacy = full_report(fast_config)
-        assert run_full_report(fast_config) == legacy
-
 
 @pytest.fixture()
 def boom_experiment():

@@ -18,6 +18,8 @@ from repro.core.speed_function import SpeedFunction
 from repro.runtime.event_sim import EventSimulator
 from repro.runtime.panel_loop import simulate_panel_loop, simulate_spmd_run
 
+from tests.oracles import panel_loop as oracle
+
 pytestmark = pytest.mark.property
 
 delays = st.lists(
@@ -139,8 +141,8 @@ def test_batch_lane_interleaves_with_scalar_events(batch, extras):
 )
 @settings(deadline=None)
 def test_panel_loop_engines_bit_identical(compute, panels, comm):
-    vec = simulate_panel_loop(compute, panels, comm, engine="vector")
-    sca = simulate_panel_loop(compute, panels, comm, engine="scalar")
+    vec = simulate_panel_loop(compute, panels, comm)
+    sca = oracle.simulate_panel_loop(compute, panels, comm)
     assert vec.total_time_s == sca.total_time_s
     assert vec.comm_time_s == sca.comm_time_s
     assert vec.compute_time_s == sca.compute_time_s
@@ -171,8 +173,8 @@ def test_spmd_run_engines_bit_identical(seeds, panels):
             )
         )
     alloc = [a for _, _, a in seeds]
-    vec = simulate_spmd_run(models, alloc, panels, engine="vector")
-    sca = simulate_spmd_run(models, alloc, panels, engine="scalar")
+    vec = simulate_spmd_run(models, alloc, panels)
+    sca = oracle.simulate_spmd_run(models, alloc, panels)
     assert vec.total_time_s == sca.total_time_s
     assert vec.panel_finish_s == sca.panel_finish_s
     assert vec.compute_time_s == sca.compute_time_s

@@ -1,10 +1,12 @@
-"""Drifted panel-loop runs: vector/scalar bit-identity and semantics."""
+"""Drifted panel-loop runs: bit-identity with the event oracle, semantics."""
 
 import numpy as np
 import pytest
 
 from repro.platform.drift import DriftModel
 from repro.runtime.panel_loop import simulate_panel_loop
+
+from tests.oracles import panel_loop as oracle
 
 COMPUTE = [0.21, 0.13, 0.34, 0.08]
 NAMES = ["GeForce GTX680", "Tesla C870", "socket0", "socket1"]
@@ -16,18 +18,16 @@ def _model(spec="jitter:*:sigma=0.15; throttle:GTX680:t0=0.5,tau=1,floor=0.5"):
 
 class TestDriftedPanelLoop:
     def test_engines_bit_identical_under_drift(self):
-        results = {
-            engine: simulate_panel_loop(
+        vec, sca = (
+            run(
                 COMPUTE,
                 panels=12,
                 comm_s=0.01,
-                engine=engine,
                 drift=_model(),
                 device_names=NAMES,
             )
-            for engine in ("vector", "scalar")
-        }
-        vec, sca = results["vector"], results["scalar"]
+            for run in (simulate_panel_loop, oracle.simulate_panel_loop)
+        )
         assert vec.total_time_s == sca.total_time_s
         assert vec.panel_finish_s == sca.panel_finish_s
         assert vec.compute_time_s == sca.compute_time_s

@@ -1,4 +1,4 @@
-"""The ``repro.api`` facade: forwarding, keyword-only, deprecation shims."""
+"""The ``repro.api`` facade: forwarding, keyword-only, no leftover shims."""
 
 import inspect
 
@@ -21,6 +21,11 @@ def models():
 
     app = make_app(ExperimentConfig(seed=7, noise_sigma=0.01, fast=True))
     return list(app._models.values())
+
+
+def _solve(models, strategy):
+    """Allocations of ``total = 3000`` blocks through the api's Solver."""
+    return list(api.Solver(strategy=strategy).solve(models, 3000.0).allocations)
 
 
 class TestKeywordOnly:
@@ -59,23 +64,19 @@ class TestForwarding:
         [("fpm", partition_fpm), ("geometric", geometric_partition)],
     )
     def test_partition_dispatch(self, models, strategy, reference):
-        assert api.partition(models, 3000.0, strategy=strategy) == reference(
-            models, 3000.0
-        )
+        assert _solve(models, strategy) == reference(models, 3000.0)
 
     def test_partition_cpm_takes_constant_speeds(self):
         speeds = [10.0, 20.0, 30.0]
-        assert api.partition(speeds, 3000.0, strategy="cpm") == partition_cpm(
-            speeds, 3000.0
-        )
+        assert _solve(speeds, "cpm") == partition_cpm(speeds, 3000.0)
 
     def test_partition_homogeneous(self, models):
         expected = partition_homogeneous(len(models), 3000.0)
-        assert api.partition(models, 3000.0, strategy="homogeneous") == expected
+        assert _solve(models, "homogeneous") == expected
 
     def test_partition_rejects_unknown_strategy(self, models):
         with pytest.raises(ValueError, match="unknown strategy"):
-            api.partition(models, 3000.0, strategy="magic")
+            _solve(models, "magic")
 
     def test_run_and_load_share_the_store(self, fast_config, tmp_path):
         store = ResultStore(tmp_path / "cache")
@@ -86,25 +87,23 @@ class TestForwarding:
 
 
 class TestDeprecationShims:
-    def test_report_full_report_warns_once(self, fast_config):
-        from repro.experiments import report
-
-        with pytest.deprecated_call(match="run_full_report"):
-            report.full_report(fast_config)
-
-    def test_cli_experiments_dict_warns_and_matches_the_registry(self):
-        import repro.cli as cli
-        from repro.experiments.registry import all_experiments
-
-        with pytest.deprecated_call(match="registry"):
-            legacy = cli._EXPERIMENTS
-        runnable = {e.name for e in all_experiments() if e.kind != "ablation"}
-        assert set(legacy) == runnable
-        for name, (run, fmt) in legacy.items():
-            assert callable(run) and callable(fmt)
+    """The removed shims stay removed: plain missing attributes."""
 
     def test_cli_has_no_other_hidden_attributes(self):
         import repro.cli as cli
 
         with pytest.raises(AttributeError):
             cli._NOT_A_THING
+
+    @pytest.mark.parametrize(
+        ("module", "name"),
+        [
+            ("repro.api", "partition"),
+            ("repro.cli", "_EXPERIMENTS"),
+            ("repro.experiments.report", "full_report"),
+        ],
+    )
+    def test_removed_shims_are_gone(self, module, name):
+        import importlib
+
+        assert not hasattr(importlib.import_module(module), name)
