@@ -54,7 +54,7 @@ class RngFlowRule(FlowRule):
                     submit.col,
                     f"numpy Generator `{arg}` flows into executor-submitted "
                     f"work (path: {fn.qualname} -> {submit.kind} -> {worker}); "
-                    "pass integer seeds from repro.util.rng.sibling_seeds and "
+                    "pass integer seeds from repro.util.rng.derive_seed and "
                     "construct the stream inside the worker",
                 )
                 if arg in shared:

@@ -91,6 +91,20 @@ _PLOTTERS = {
 }
 
 
+def _seed_range(text: str) -> range:
+    """``A:B`` -> ``range(A, B)`` (Python slice convention, B excluded)."""
+    start, sep, stop = text.partition(":")
+    try:
+        seeds = range(int(start), int(stop))
+    except ValueError:
+        seeds = None
+    if not sep or not seeds:
+        raise argparse.ArgumentTypeError(
+            f"expected A:B with integers A < B, got {text!r}"
+        )
+    return seeds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiment",
@@ -116,6 +130,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--seed", type=int, default=42, help="experiment seed")
+    parser.add_argument(
+        "--seeds",
+        metavar="A:B",
+        type=_seed_range,
+        default=None,
+        help=(
+            "for 'report': run the report experiments at seeds A..B-1 in "
+            "process and print each shape check's pass count and failing seeds"
+        ),
+    )
     parser.add_argument(
         "--noise",
         type=float,
@@ -241,6 +265,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "list-experiments":
         return _list_experiments_command()
     store = _resolve_store(args)
+    if args.seeds is not None:
+        if args.experiment != "report":
+            build_parser().error("--seeds only applies to 'report'")
+        from repro.experiments.orchestrator import format_seed_sweep, sweep_shape_checks
+
+        print(format_seed_sweep(args.seeds, sweep_shape_checks(config, args.seeds, store=store)))
+        return 0
     if args.experiment == "report":
         from repro.experiments.orchestrator import run_full_report
 

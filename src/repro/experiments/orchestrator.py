@@ -18,7 +18,7 @@ losers overwrite with identical bytes).
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
 from repro.experiments.common import ExperimentConfig, experiment_span
@@ -249,6 +249,13 @@ def run_experiments(
     return {n: out[n] for n in names}
 
 
+def _shape_checks(results: dict[str, Any]) -> list:
+    """The report's shape checks on the results of :data:`REPORT_EXPERIMENTS`."""
+    from repro.experiments import report
+
+    return report.shape_checks(*(results[name] for name in REPORT_EXPERIMENTS))
+
+
 def run_full_report(
     config: ExperimentConfig = ExperimentConfig(),
     *,
@@ -270,8 +277,6 @@ def run_full_report(
     (with a note naming the failures) when any of the seven report
     experiments is missing.
     """
-    from repro.experiments import report
-
     names = tuple(experiments)
     tracer = get_tracer()
     with tracer.span("report.full", category="experiment", jobs=jobs) as span:
@@ -302,15 +307,7 @@ def run_full_report(
             isinstance(results[name], FailedExperiment)
             for name in REPORT_EXPERIMENTS
         ):
-            checks = report.shape_checks(
-                results["fig2"],
-                results["fig3"],
-                results["fig5"],
-                results["table2"],
-                results["table3"],
-                results["fig6"],
-                results["fig7"],
-            )
+            checks = _shape_checks(results)
     if checks is None:
         sections.append(
             "Shape checks skipped: "
@@ -325,3 +322,41 @@ def run_full_report(
             )
         sections.append("\n".join(check_lines))
     return "\n\n".join(sections)
+
+
+def sweep_shape_checks(
+    config: ExperimentConfig,
+    seeds: Iterable[int],
+    *,
+    store: ResultStore | None = None,
+) -> dict[str, list[int]]:
+    """Every report shape check over many seeds: ``{check name: failing seeds}``.
+
+    Runs the seven report experiments in process at each seed (everything
+    else in ``config`` unchanged) and evaluates the shape checks, in the
+    report's check order.  One seed answers pass/fail for that seed only;
+    the sweep shows which claims hold across the seed distribution.
+    """
+    failing: dict[str, list[int]] = {}
+    for seed in seeds:
+        results = run_experiments(
+            REPORT_EXPERIMENTS, replace(config, seed=seed), store=store
+        )
+        for check in _shape_checks(results):
+            failing.setdefault(check.name, [])
+            if not check.passed:
+                failing[check.name].append(seed)
+    return failing
+
+
+def format_seed_sweep(seeds: Sequence[int], failing: dict[str, list[int]]) -> str:
+    """The pass count and failing seeds of each shape check."""
+    total = len(seeds)
+    span = f"{seeds[0]}-{seeds[-1]}" if seeds else "none"
+    lines = [f"Shape checks over seeds {span} ({total} seeds):"]
+    for name, bad in failing.items():
+        line = f"  {total - len(bad):>4}/{total}  {name}"
+        if bad:
+            line += f"  (fails on seeds {', '.join(map(str, bad))})"
+        lines.append(line)
+    return "\n".join(lines)

@@ -24,7 +24,7 @@ from repro.measurement.reliability import (
     Measurement,
     ReliabilityCriterion,
     measure_until_reliable,
-    measure_until_reliable_batch,
+    measure_until_reliable_rounds,
 )
 from repro.measurement.timer import SimulatedTimer
 from repro.obs import get_tracer
@@ -138,9 +138,11 @@ class HybridBenchmark:
         """Reliable mean times at many problem sizes (the batch fast path).
 
         The kernel's ideal times come from ONE ``run_time_batch`` call and
-        each size's repetitions are drawn in chunks through
-        :func:`measure_until_reliable_batch`; every returned ``Measurement``
-        is bit-identical to :meth:`measure_time` at the same size.
+        the sizes run the repeat-until-reliable protocol in lockstep
+        rounds (:func:`measure_until_reliable_rounds`): round ``k`` draws
+        chunk ``k`` of every size still running in one keyed draw.  Every
+        returned ``Measurement`` is bit-identical to :meth:`measure_time`
+        at the same size.
         """
         sizes = [float(size) for size in sizes]
         for size in sizes:
@@ -153,33 +155,30 @@ class HybridBenchmark:
             sizes=len(sizes),
         ):
             ideals = kernel.run_time_batch(np.asarray(sizes), busy_cpu_cores)
-            timings = []
-            for size, ideal in zip(sizes, ideals):
-                def sample_batch(start, count, _size=size, _ideal=float(ideal)):
-                    return self.timer.time_kernel_batch(
-                        kernel,
-                        _size,
-                        range(start, start + count),
-                        busy_cpu_cores,
-                        ideal_seconds=_ideal,
-                    )
 
-                def sample(rep, attempt=0, _size=size):
-                    # scalar fallback for repetitions whose batch draw was
-                    # marked as an injected fault (and for their retries)
-                    return self.timer.time_kernel(
-                        kernel, _size, rep, busy_cpu_cores, attempt=attempt
-                    )
-
-                timings.append(
-                    measure_until_reliable_batch(
-                        sample_batch,
-                        self.criterion,
-                        retry=self.retry,
-                        sample=sample,
-                    )
+            def sample_round(active, start, count):
+                return self.timer.time_kernel_sweep(
+                    kernel,
+                    [sizes[i] for i in active],
+                    range(start, start + count),
+                    busy_cpu_cores,
+                    ideal_seconds=ideals[active],
                 )
-            return timings
+
+            def sample(i, rep, attempt=0):
+                # scalar fallback for repetitions whose round draw was
+                # marked as an injected fault (and for their retries)
+                return self.timer.time_kernel(
+                    kernel, sizes[i], rep, busy_cpu_cores, attempt=attempt
+                )
+
+            return measure_until_reliable_rounds(
+                sample_round,
+                len(sizes),
+                self.criterion,
+                retry=self.retry,
+                sample=sample,
+            )
 
     def measure_speeds(
         self,

@@ -10,6 +10,7 @@ subject to minimum and maximum repetition counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -224,6 +225,120 @@ def _absorb_chunk(
     )
 
 
+def measure_until_reliable_rounds(
+    sample_round: Callable[[list[int], int, int], np.ndarray],
+    count: int,
+    criterion: ReliabilityCriterion = ReliabilityCriterion(),
+    retry: RetryPolicy | None = None,
+    sample: Callable[..., float] | None = None,
+) -> list[Measurement]:
+    """Run :func:`measure_until_reliable` for ``count`` measurements in lockstep.
+
+    Repetitions are drawn in growing chunks (``min_repetitions``, then
+    doubling, capped at the remaining budget), and round ``k`` draws
+    chunk ``k`` of every measurement still running in ONE call:
+    ``sample_round(active, start, n)`` returns a ``(len(active), n)``
+    float array whose row ``j`` holds repetitions ``start .. start + n -
+    1`` of measurement ``active[j]``.  Each row is absorbed with the
+    Student-t stopping rule evaluated over every prefix, so measurement
+    ``i`` stops at the exact repetition the scalar loop would have — each
+    returned ``Measurement`` is bit-identical to the oracle's.
+
+    Fault protocol: NaN entries mark injected attempt-0 kernel failures;
+    each one the scalar loop would reach is replayed through
+    ``sample(i, rep)`` / ``sample(i, rep, attempt)`` (the scalar
+    fallback of measurement ``i``) under ``retry``.  A measurement that
+    raises (a negative timing, an exhausted retry budget) stops the
+    measurements after it; once the earlier ones finish, its error
+    propagates — exactly what measuring one after another would raise.
+
+    Observability: one ``measure.reliable`` span covers the whole set,
+    with one ``measure.round`` span per drawn round.  The accepted /
+    rejected sample counters, the fault / retry accounting and the
+    CI-width gauge total as the per-measurement oracle's do.
+    """
+    tracer = get_tracer()
+    with tracer.span("measure.reliable", category="measurement", sizes=count) as span:
+        stats = [RunningStats() for _ in range(count)]
+        ledgers = [_FaultLedger() for _ in range(count)]
+        failure: tuple[int, KernelFaultError | ValueError] | None = None
+        active = list(range(count))
+        start, chunk = 0, criterion.min_repetitions
+        try:
+            while active and start < criterion.max_repetitions:
+                n = min(chunk, criterion.max_repetitions - start)
+                with tracer.span(
+                    "measure.round",
+                    category="measurement",
+                    first_repetition=start,
+                    repetitions=n,
+                    sizes=len(active),
+                ):
+                    values = np.asarray(
+                        sample_round(active, start, n), dtype=np.float64
+                    )
+                    if values.shape != (len(active), n):
+                        raise ValueError(
+                            f"sample_round(<{len(active)} active>, {start}, {n}) "
+                            f"returned shape {values.shape}"
+                        )
+                    running = []
+                    for i, row in zip(active, values):
+                        fallback = None if sample is None else partial(sample, i)
+                        try:
+                            if not _absorb_chunk(
+                                stats[i], row, start, criterion, retry, fallback, ledgers[i]
+                            ):
+                                running.append(i)
+                        except (KernelFaultError, ValueError) as exc:
+                            # the protocol's own failures (exhausted
+                            # retries, a negative timing): the
+                            # measurements after i would never have run
+                            failure = (i, exc)
+                            break
+                    active = running
+                start += n
+                chunk *= 2
+        finally:
+            # account as measuring one after another would have: up to a
+            # failing measurement, whose faults count but whose samples
+            # never land
+            if failure is not None:
+                del stats[failure[0] :], ledgers[failure[0] + 1 :]
+            total = _FaultLedger()
+            for ledger in ledgers:
+                total.faults += ledger.faults
+                total.retries += ledger.retries
+                total.backoff_s += ledger.backoff_s
+            total.flush(tracer, span)
+        results = []
+        for acc in stats:
+            rel_precision = acc.relative_precision(criterion.confidence)
+            reliable = rel_precision <= criterion.rel_err
+            if tracer.enabled:
+                # same accounting as the scalar oracle: samples are accepted
+                # when their measurement converged, rejected when the
+                # budget ran out first
+                kind = "accepted" if reliable else "rejected"
+                tracer.counter(f"measure.samples.{kind}").add(acc.count)
+                tracer.gauge("measure.ci_rel_width").set(rel_precision)
+            results.append(
+                Measurement(
+                    mean=acc.mean,
+                    std=acc.std,
+                    repetitions=acc.count,
+                    rel_precision=rel_precision,
+                    reliable=reliable,
+                )
+            )
+        if failure is not None:
+            raise failure[1]
+        if tracer.enabled:
+            span.set_attr("repetitions", sum(m.repetitions for m in results))
+            span.set_attr("unreliable", sum(not m.reliable for m in results))
+        return results
+
+
 def measure_until_reliable_batch(
     sample_batch: Callable[[int, int], np.ndarray],
     criterion: ReliabilityCriterion = ReliabilityCriterion(),
@@ -233,71 +348,17 @@ def measure_until_reliable_batch(
     """Array-based twin of :func:`measure_until_reliable`.
 
     ``sample_batch(start, count)`` returns the timings of repetitions
-    ``start .. start + count - 1`` as one float array.  Repetitions are
-    drawn in growing chunks (``min_repetitions``, then doubling, capped at
-    the remaining budget) and the Student-t stopping rule is evaluated over
-    the cumulative statistics of every prefix, so the protocol stops at the
-    exact repetition the scalar loop would have — the returned
-    ``Measurement`` is bit-identical to the oracle's.
-
-    Fault protocol: NaN entries mark injected attempt-0 kernel failures;
-    each one the scalar loop would reach is replayed through ``sample``
-    (the scalar fallback) under ``retry``, reproducing the oracle's
-    recovered values, counters and error messages exactly.
-
-    Observability: one ``measure.chunk`` span per drawn chunk replaces the
-    scalar path's per-repetition spans; the accepted/rejected counter
-    totals, the fault/retry accounting, the CI-width gauge and the span
-    attributes are unchanged.
+    ``start .. start + count - 1`` as one float array, and ``sample`` is
+    the scalar fallback for injected failures: this is the one-measurement
+    case of :func:`measure_until_reliable_rounds`, bit-identical to the
+    scalar oracle.
     """
-    tracer = get_tracer()
-    with tracer.span("measure.reliable", category="measurement") as span:
-        stats = RunningStats()
-        ledger = _FaultLedger()
-        stopped = False
-        chunk = criterion.min_repetitions
-        try:
-            while not stopped and stats.count < criterion.max_repetitions:
-                count = min(chunk, criterion.max_repetitions - stats.count)
-                start = stats.count
-                values = np.asarray(sample_batch(start, count), dtype=np.float64)
-                if values.shape != (count,):
-                    raise ValueError(
-                        f"sample_batch({start}, {count}) returned shape {values.shape}"
-                    )
-                if tracer.enabled:
-                    with tracer.span(
-                        "measure.chunk",
-                        category="measurement",
-                        first_repetition=start,
-                        repetitions=count,
-                    ):
-                        stopped = _absorb_chunk(
-                            stats, values, start, criterion, retry, sample, ledger
-                        )
-                else:
-                    stopped = _absorb_chunk(
-                        stats, values, start, criterion, retry, sample, ledger
-                    )
-                chunk *= 2
-        finally:
-            ledger.flush(tracer, span)
-        rel_precision = stats.relative_precision(criterion.confidence)
-        reliable = rel_precision <= criterion.rel_err
-        if tracer.enabled:
-            # same accounting as the scalar oracle: samples are accepted
-            # when their measurement converged, rejected when the budget
-            # ran out first
-            kind = "accepted" if reliable else "rejected"
-            tracer.counter(f"measure.samples.{kind}").add(stats.count)
-            tracer.gauge("measure.ci_rel_width").set(rel_precision)
-            span.set_attr("repetitions", stats.count)
-            span.set_attr("reliable", reliable)
-            span.set_attr("mean_s", stats.mean)
-        return Measurement(
-            mean=stats.mean,
-            std=stats.std,
-            repetitions=stats.count,
-            rel_precision=rel_precision,
-            reliable=reliable,
-        )
+    return measure_until_reliable_rounds(
+        lambda _active, start, count: np.asarray(
+            sample_batch(start, count), dtype=np.float64
+        )[None],
+        1,
+        criterion,
+        retry,
+        None if sample is None else (lambda _i, *args: sample(*args)),
+    )[0]

@@ -10,7 +10,7 @@ operation) corresponds to timing the kernel's full ``run_time``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -127,41 +127,69 @@ class SimulatedTimer:
     ) -> np.ndarray:
         """Noisy timings of many repetitions at ONE size, in one call.
 
-        Bit-identical to ``[self.time_kernel(kernel, area_blocks, r,
-        busy_cpu_cores, at_s=at_s) for r in repetitions]``;
-        ``ideal_seconds`` lets the sweep hoist the (deterministic)
-        ``kernel.run_time`` out of the repetition loop.
+        The one-size case of :meth:`time_kernel_sweep`: bit-identical to
+        ``[self.time_kernel(kernel, area_blocks, r, busy_cpu_cores,
+        at_s=at_s) for r in repetitions]``, with attempt-0 failures marked
+        as NaN.
+        """
+        return self.time_kernel_sweep(
+            kernel,
+            [area_blocks],
+            repetitions,
+            busy_cpu_cores,
+            None if ideal_seconds is None else [ideal_seconds],
+            at_s,
+        )[0]
+
+    def time_kernel_sweep(
+        self,
+        kernel: Kernel,
+        sizes: Sequence[float],
+        repetitions: Iterable[int],
+        busy_cpu_cores: int = 0,
+        ideal_seconds: Sequence[float] | None = None,
+        at_s: float = 0.0,
+    ) -> np.ndarray:
+        """Noisy timings of the same repetitions at MANY sizes, in one call.
+
+        Returns a ``(len(sizes), len(repetitions))`` array whose entry
+        ``[i, j]`` is bit-identical to ``self.time_kernel(kernel,
+        sizes[i], repetitions[j], busy_cpu_cores, at_s=at_s)``: every
+        timing keeps its own stream ``(kernel, x<size>, busy<c>,
+        r<rep>)``, and the whole grid draws its noise (and its fault
+        decisions) in one keyed call.  ``ideal_seconds`` lets a sweep
+        hoist the (deterministic) ``kernel.run_time`` out of the loop.
 
         With a fault plan installed, an attempt-0 failure is marked as NaN
         (simulated timings are never NaN) rather than raised, so one bad
-        repetition does not lose the whole chunk; the batch reliability
+        repetition does not lose the whole round; the batch reliability
         protocol replays marked entries through the scalar retry path.
         """
-        check_nonnegative("area_blocks", area_blocks)
+        for size in sizes:
+            check_nonnegative("area_blocks", size)
         reps = [int(r) for r in repetitions]
         for rep in reps:
             if rep < 0:
                 raise ValueError(f"repetition must be >= 0, got {rep}")
         if ideal_seconds is None:
-            ideal_seconds = kernel.run_time(area_blocks, busy_cpu_cores)
+            ideal_seconds = [kernel.run_time(s, busy_cpu_cores) for s in sizes]
+        busy = f"busy{busy_cpu_cores}"
+        names = [f"r{rep}" for rep in reps]
+        leaves = [(x, busy, r) for x in [f"x{s}" for s in sizes] for r in names]
         spike_factors: np.ndarray | float = 1.0
         failed = None
         if self.faults is not None and not self.faults.inert:
             failed, spike_factors, _ = self.faults.kernel_outcomes_batch(
-                kernel.name,
-                (f"x{area_blocks}", f"busy{busy_cpu_cores}"),
-                [(f"r{rep}", "a0") for rep in reps],
+                kernel.name, (), [(*leaf, "a0") for leaf in leaves]
             )
         values = compose_timing(
-            ideal_seconds,
+            np.repeat(np.asarray(ideal_seconds, dtype=np.float64), len(reps)),
             self._drift_time_factor(kernel.name, at_s),
             spike_factors,
             lambda seconds: self.noise.perturb_batch(
-                seconds,
-                (kernel.name, f"x{area_blocks}", f"busy{busy_cpu_cores}"),
-                [f"r{rep}" for rep in reps],
+                seconds, (kernel.name,), leaves
             ),
         )
         if failed is not None:
             values[failed] = np.nan
-        return values
+        return values.reshape(len(sizes), len(reps))

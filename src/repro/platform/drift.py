@@ -226,7 +226,7 @@ class DriftModel:
         throttle envelope, times the burst factor of the burst window
         containing ``t_s``, times the jitter factor of its jitter window.
         Each draw comes from the stream ``(device, "burst" | "jitter",
-        f"w{window}")``, one bulk-seeded call per kind.
+        f"w{window}")``, one keyed draw call per kind.
         """
         check_nonnegative("t_s", t_s)
         names = [str(d) for d in devices]

@@ -10,25 +10,27 @@ module owns the three decisions they share:
 * which rule applies to a device — exact name, then substring, then the
   ``*`` wildcard (:class:`RuleTable`);
 * where events draw randomness (:func:`uniforms`, :func:`normals`).
-  Every draw comes from its own named BLAKE2-derived stream ``(seed,
-  *rng.path, *prefix, *leaf)``, and the streams of one call are seeded in
-  bulk, so a draw depends only on its path — never on call order or on
-  how many siblings were drawn with it.  A scalar query is a batch of one.
+  Every draw comes from its own named counter-based stream ``(seed,
+  *rng.path, *prefix, *leaf)`` (see :mod:`repro.util.rng`): one keyed
+  draw covers a whole batch of streams and builds no numpy generator,
+  and a draw depends only on its path — never on call order or on how
+  many siblings were drawn with it.  A scalar query is a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Any, Callable, ClassVar, Generic, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from repro.util.rng import RngStream, sibling_generators
+from repro.util.rng import RngStream, key_uniforms, stream_keys
 
 __all__ = ["Grammar", "Kind", "RuleTable", "integral", "normals", "uniforms"]
 
 P = TypeVar("P")
+
+_TWO_PI = 2.0 * np.pi
 
 
 # --------------------------------------------------------------- grammar
@@ -195,11 +197,13 @@ def uniforms(
 ) -> np.ndarray:
     """One uniform ``[0, 1)`` draw per stream ``(*rng.path, *prefix, *leaf)``.
 
-    Entry ``i`` equals ``rng.child(p)...child(leaf_i).uniform()`` walked
-    one name at a time; a tuple leaf spells several trailing names.
+    Entry ``i`` is slot 0 of the counter-based stream keyed by that path
+    (:func:`~repro.util.rng.stream_keys`); a tuple leaf spells several
+    trailing names.  Moving names between ``prefix`` and the leaves never
+    changes a draw.
     """
-    gens = sibling_generators(rng.seed, (*rng.path, *prefix), leaves)
-    return np.array([g.uniform(0.0, 1.0) for g in gens])
+    keys = stream_keys(rng.seed, (*rng.path, *prefix), leaves)
+    return key_uniforms(keys, 1)[0]
 
 
 def normals(
@@ -210,13 +214,19 @@ def normals(
 ) -> np.ndarray:
     """One ``N(0, sigma)`` draw per stream (see :func:`uniforms`).
 
-    ``sigma`` is one scale for every stream or one per leaf.  Seeding is
-    bulk, but each stream still draws its own normal: ``Generator.normal``
-    is ziggurat rejection sampling, which consumes a data-dependent number
-    of raw draws, and NumPy samples many values only from ONE
-    bit-generator.  So the draw stays per stream, which keeps entry ``i``
-    equal to the walked stream's draw.
+    ``sigma`` is one finite scale ``>= 0`` for every stream, or a 1-D
+    sequence of them with one per leaf.  The draw is Box-Muller on the
+    stream's slots 0 and 1, ``sigma * sqrt(-2 ln(1 - u0)) * cos(2 pi u1)``:
+    a fixed number of uniforms per stream, so no stream's draw depends on
+    another's.
     """
-    gens = sibling_generators(rng.seed, (*rng.path, *prefix), leaves)
-    scales = repeat(sigma) if np.isscalar(sigma) else sigma
-    return np.array([g.normal(0.0, s) for g, s in zip(gens, scales)])
+    scale = np.asarray(sigma, dtype=np.float64)
+    if scale.ndim > 1 or (scale.ndim == 1 and scale.shape != (len(leaves),)):
+        raise ValueError(
+            f"sigma must be a scalar or hold one value per leaf "
+            f"({len(leaves)}), got shape {scale.shape}"
+        )
+    if not np.all((scale >= 0.0) & (scale < np.inf)):  # NaN fails both
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    u = key_uniforms(stream_keys(rng.seed, (*rng.path, *prefix), leaves), 2)
+    return scale * (np.sqrt(-2.0 * np.log(1.0 - u[0])) * np.cos(_TWO_PI * u[1]))

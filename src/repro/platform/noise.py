@@ -79,7 +79,7 @@ class NoiseModel:
         ``(*context, leaf_i)`` (a tuple leaf spells several trailing
         components), so ``apply(seconds, factors[i], outliers[i])`` equals
         that ``perturb`` call.  Streams that ``perturb`` would not draw
-        from are not built: a zero ``sigma`` gives factors of 1.0 and a
+        from are not drawn: a zero ``sigma`` gives factors of 1.0 and a
         zero ``outlier_prob`` gives no outliers.
         """
         n = len(leaves)
@@ -107,21 +107,29 @@ class NoiseModel:
 
     def perturb_batch(
         self,
-        seconds: float,
+        seconds: float | np.ndarray,
         context: Sequence[object],
         rep_keys: Sequence[object],
     ) -> np.ndarray:
-        """Noisy versions of ONE ideal timing for many repetitions at once.
+        """Noisy versions of ideal timings for many measurements at once.
 
-        Entry ``i`` is ``self.perturb(seconds, *context, rep_keys[i])``:
-        the (device, size, contention) part of the stream path is hashed
-        once, and each repetition draws from its own named child stream
-        (see :meth:`draw`).
+        ``seconds`` is one ideal timing for every key, or one per key.
+        Entry ``i`` is ``self.perturb(seconds[i], *context, *rep_keys[i])``
+        (a tuple key spells several trailing components): the context is
+        hashed once and every key draws from its own named child stream
+        in the same keyed call (see :meth:`draw`).
         """
-        if self._passes_through(seconds):
-            return np.full(len(rep_keys), float(seconds))
+        values = np.broadcast_to(
+            np.asarray(seconds, dtype=np.float64), (len(rep_keys),)
+        )
+        if not np.isfinite(values).all():
+            raise ValueError(f"seconds must be finite, got {seconds}")
+        if (values < 0).any():
+            raise ValueError(f"seconds must be >= 0, got {seconds}")
+        if not values.any() or (self.sigma == 0.0 and self.outlier_prob == 0.0):
+            return values.copy()
         factors, outliers = self.draw(context, rep_keys)
-        values = seconds * factors
+        values = values * factors
         if self.outlier_prob > 0.0:
             values = np.where(outliers, values * self.outlier_factor, values)
         return values

@@ -24,7 +24,8 @@ import math
 from typing import Any
 
 #: Bump when the *meaning* of cached payloads changes (not just the code).
-STORE_SCHEMA = 1
+#: 2: noise, fault and drift draws come from counter-based streams.
+STORE_SCHEMA = 2
 
 #: Hex digest length (BLAKE2b, 16-byte digests — plenty for a local cache).
 _DIGEST_SIZE = 16

@@ -96,8 +96,9 @@ def test_noqa_at_sink_suppresses_cross_file_diagnostic(tmp_path):
 def test_real_rng_module_builds_generators_in_one_helper():
     """The sanctioned module has one REP101 source: ``_generator``.
 
-    ``RngStream.generator`` and ``sibling_generators`` both build
-    through it, so the taint tier sees a single creation site.
+    ``RngStream.generator`` builds through it (platform events draw
+    from counter-based keys and build none), so the taint tier sees a
+    single creation site.
     """
     from repro.analysis.symbols import summarize_file
 

@@ -15,11 +15,13 @@ from repro.experiments.orchestrator import (
     REPORT_EXPERIMENTS,
     ExperimentError,
     FailedExperiment,
+    format_seed_sweep,
     load_cached_result,
     result_key,
     run_experiment,
     run_experiments,
     run_full_report,
+    sweep_shape_checks,
 )
 from repro.experiments.registry import all_experiments, get_experiment
 from repro.obs import Tracer, use_tracer
@@ -265,3 +267,35 @@ def test_full_resolution_parallel_report(tmp_path):
     text = run_full_report(config, jobs=4, store=store)
     assert "[FAIL]" not in text
     assert run_full_report(config, jobs=1, store=ResultStore(tmp_path / "b")) == text
+
+
+class TestSeedSweep:
+    def test_sweep_matches_the_per_seed_report_checks(self, fast_config):
+        from repro.experiments import report
+
+        failing = sweep_shape_checks(fast_config, range(2))
+        for seed in range(2):
+            results = run_experiments(
+                REPORT_EXPERIMENTS, dataclasses.replace(fast_config, seed=seed)
+            )
+            checks = report.shape_checks(*(results[n] for n in REPORT_EXPERIMENTS))
+            assert list(failing) == [c.name for c in checks]
+            for c in checks:
+                assert (seed in failing[c.name]) == (not c.passed)
+
+    def test_format_names_pass_counts_and_failing_seeds(self):
+        text = format_seed_sweep(range(3, 6), {"A": [], "B": [4]})
+        assert text.splitlines() == [
+            "Shape checks over seeds 3-5 (3 seeds):",
+            "     3/3  A",
+            "     2/3  B  (fails on seeds 4)",
+        ]
+
+    def test_cli_seeds_flag(self, capsys):
+        from repro.cli import main
+
+        assert main(["report", "--seeds", "0:1", "--fast", "--no-cache"]) == 0
+        assert capsys.readouterr().out.startswith("Shape checks over seeds 0-0 (1 seeds):")
+        for bad in (["report", "--seeds", "3:3"], ["fig2", "--seeds", "0:2"]):
+            with pytest.raises(SystemExit):
+                main(bad)

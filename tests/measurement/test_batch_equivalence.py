@@ -17,8 +17,11 @@ from repro.measurement.reliability import (
     ReliabilityCriterion,
     measure_until_reliable,
     measure_until_reliable_batch,
+    measure_until_reliable_rounds,
 )
 from repro.obs import Tracer, use_tracer
+import repro.platform.noise as noise_module
+from repro.platform.drift import DriftModel
 from repro.platform.faults import FaultPlan, KernelFaultError, RetryPolicy
 from repro.platform.noise import NoiseModel
 from repro.util.rng import RngStream
@@ -266,3 +269,78 @@ class TestFpmBuilderBatch:
             want = bench.measure_speed(kernel, sample.size)
             assert sample.speed == want.speed_gflops
             assert sample.rel_precision == want.timing.rel_precision
+
+
+class TestLockstepRounds:
+    """``measure_times`` runs every size's protocol in lockstep rounds."""
+
+    SWEEP = tuple(12.0 * 1.35**i for i in range(24))
+
+    def test_sweep_equals_per_size_with_every_modifier_on(self, node):
+        bench = HybridBenchmark(
+            node,
+            seed=8,
+            noise_sigma=0.03,
+            faults=FaultPlan.from_spec("fail:*:p=0.1; spike:*:p=0.1,x=5", seed=8),
+            retry=RetryPolicy(max_retries=6),
+        )
+        bench.timer.noise = NoiseModel(
+            RngStream(8).child("bench"), sigma=0.03, outlier_prob=0.05
+        )
+        bench.timer.drift = DriftModel.from_spec(
+            "burst:*:p=0.5,x=2,len=1; jitter:*:sigma=0.05,w=1", seed=8
+        )
+        sizes = self.SWEEP[::3]
+        for kernel, busy in _kernels(bench)[::2]:
+            sweep = bench.measure_times(kernel, sizes, busy)
+            assert sweep == [bench.measure_time(kernel, size, busy) for size in sizes]
+
+    def test_draw_calls_per_sweep_at_most_the_round_count(self, bench, monkeypatch):
+        calls = []
+        real = noise_module.normals
+        monkeypatch.setattr(
+            noise_module, "normals", lambda *a: calls.append(1) or real(*a)
+        )
+        noisy = HybridBenchmark(bench.node, seed=3, noise_sigma=0.2)
+        kernel = noisy.socket_kernel(0, 5)
+        timings = noisy.measure_times(kernel, self.SWEEP)
+        # min 5, max 100: chunks 5, 10, 20, 40, 25
+        assert max(m.repetitions for m in timings) == 100
+        assert 1 <= len(calls) <= 5
+
+    def test_earliest_failing_measurement_raises(self):
+        criterion = ReliabilityCriterion(
+            rel_err=1e-9, min_repetitions=2, max_repetitions=8
+        )
+        seen = []
+
+        def sample_round(active, start, count):
+            seen.append(list(active))
+            # alternating 1, 2: never reliable at rel_err 1e-9
+            rows = np.ones((len(active), count)) + np.arange(start, start + count) % 2
+            for row, i in zip(rows, active):
+                if (i == 2 and start == 0) or (i == 0 and start == 2):
+                    row[0] = -float(i + 1)
+            return rows
+
+        with pytest.raises(ValueError, match="negative timing -1.0 from repetition 2"):
+            measure_until_reliable_rounds(sample_round, 4, criterion)
+        # measurement 2 fails in round 0, so 3 never runs again; 0 fails next
+        assert seen == [[0, 1, 2, 3], [0, 1]]
+
+    def test_one_size_case_is_the_batch_protocol(self):
+        noise = NoiseModel(RngStream(7).child("bench"), 0.3)
+        criterion = ReliabilityCriterion(rel_err=0.05, max_repetitions=60)
+
+        def batch(start, count):
+            return noise.perturb_batch(
+                1.0, ("k",), [f"r{r}" for r in range(start, start + count)]
+            )
+
+        rounds = measure_until_reliable_rounds(
+            lambda active, start, count: batch(start, count)[None], 1, criterion
+        )
+        assert rounds == [measure_until_reliable_batch(batch, criterion)]
+        assert rounds[0] == measure_until_reliable(
+            lambda rep: noise.perturb(1.0, "k", f"r{rep}"), criterion
+        )

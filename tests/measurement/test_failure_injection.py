@@ -58,13 +58,17 @@ class TestReliabilityUnderOutliers:
         return bench
 
     def test_spikes_trigger_more_repetitions(self):
+        # over a sweep, not one size: an 8% spike misses a single 11-rep
+        # measurement entirely with probability 0.92^11 ~ 0.4, but across
+        # 20 sizes the spikes must land and stretch the protocol
         clean = self._bench_with_outliers(0.0)
         dirty = self._bench_with_outliers(0.08)
-        kernel_c = clean.socket_kernel(2, 6)
-        kernel_d = dirty.socket_kernel(2, 6)
-        m_clean = clean.measure_time(kernel_c, 500.0)
-        m_dirty = dirty.measure_time(kernel_d, 500.0)
-        assert m_dirty.repetitions > m_clean.repetitions
+        sizes = [300.0 + 20.0 * i for i in range(20)]
+        clean_m = clean.measure_times(clean.socket_kernel(2, 6), sizes)
+        dirty_m = dirty.measure_times(dirty.socket_kernel(2, 6), sizes)
+        assert sum(m.repetitions for m in dirty_m) > sum(
+            m.repetitions for m in clean_m
+        )
 
     def test_heavy_spikes_flagged_unreliable(self):
         bench = self._bench_with_outliers(0.3)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
+import numpy as np
 import pytest
 
 import repro.platform
@@ -17,16 +18,16 @@ from repro.platform.faults import FaultSpec
 from repro.platform.noise import NoiseModel
 from repro.util.rng import RngStream
 
+from tests.oracles import platform_events as oracle
+
 PLATFORM = Path(repro.platform.__file__).parent
 
 
-def _walk(rng: RngStream, *names: object) -> RngStream:
-    for name in names:
-        rng = rng.child(str(name))
-    return rng
+def _leaf_parts(leaf):
+    return leaf if isinstance(leaf, tuple) else (leaf,)
 
 
-def test_only_events_references_sibling_generators():
+def test_only_events_references_stream_keys():
     users = set()
     for path in sorted(PLATFORM.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -39,7 +40,7 @@ def test_only_events_references_sibling_generators():
                 name = node.attr
             else:
                 continue
-            if name == "sibling_generators":
+            if name in ("stream_keys", "key_uniforms"):
                 users.add(path.name)
     assert users == {"events.py"}
 
@@ -47,19 +48,21 @@ def test_only_events_references_sibling_generators():
 class TestDrawHelpers:
     RNG = RngStream(17).child("events")
 
-    def test_uniforms_equal_the_walked_streams(self):
+    def _key(self, *names):
+        return oracle.stream_key(self.RNG.seed, *self.RNG.path, *names)
+
+    def test_uniforms_equal_the_scalar_oracle(self):
         leaves = ["a", ("b", "c"), ("d",), 4]
         draws = uniforms(self.RNG, ("dev", "x1.0"), leaves)
-        walked = [
-            _walk(self.RNG, "dev", "x1.0", *leaf).uniform()
-            if isinstance(leaf, tuple)
-            else _walk(self.RNG, "dev", "x1.0", leaf).uniform()
+        assert draws.tolist() == [
+            oracle.key_uniform(self._key("dev", "x1.0", *_leaf_parts(leaf)))
             for leaf in leaves
         ]
-        assert draws.tolist() == walked
 
     def test_empty_leaf_is_the_prefix_stream(self):
-        assert uniforms(self.RNG, ("p",), [()])[0] == _walk(self.RNG, "p").uniform()
+        assert uniforms(self.RNG, ("p",), [()])[0] == oracle.key_uniform(
+            self._key("p")
+        )
 
     def test_normals_take_one_or_per_leaf_sigma(self):
         leaves = [("u", "p0"), ("u", "p1"), ("v", "p0")]
@@ -67,8 +70,9 @@ class TestDrawHelpers:
         per_leaf = normals(self.RNG, ("panel",), leaves, sigmas)
         shared = normals(self.RNG, ("panel",), leaves, 0.5)
         for i, leaf in enumerate(leaves):
-            assert per_leaf[i] == _walk(self.RNG, "panel", *leaf).normal(0.0, sigmas[i])
-            assert shared[i] == _walk(self.RNG, "panel", *leaf).normal(0.0, 0.5)
+            key = self._key("panel", *leaf)
+            assert per_leaf[i] == oracle.key_normal(key, sigmas[i])
+            assert shared[i] == oracle.key_normal(key, 0.5)
 
     def test_no_leaves_draw_nothing(self):
         assert uniforms(self.RNG, (), []).shape == (0,)
@@ -78,6 +82,84 @@ class TestDrawHelpers:
         alone = uniforms(self.RNG, ("k",), ["r3"])[0]
         among = uniforms(self.RNG, ("k",), ["r0", "r1", "r2", "r3"])[3]
         assert alone == among
+
+    def test_prefix_and_leaf_split_never_moves_a_draw(self):
+        leaves = [("x1.0", "busy0", f"r{i}") for i in range(6)]
+        whole = normals(self.RNG, ("kernel",), leaves, 0.2)
+        split = normals(self.RNG, ("kernel", "x1.0", "busy0"), [f"r{i}" for i in range(6)], 0.2)
+        assert whole.tolist() == split.tolist()
+
+
+class TestSigmaValidation:
+    """``normals`` checks ``sigma`` once, at the draw site."""
+
+    RNG = RngStream(5)
+
+    def test_per_leaf_sigma_must_match_the_leaves(self):
+        with pytest.raises(ValueError, match="one value per leaf"):
+            normals(self.RNG, ("p",), ["x", "y", "z"], [0.1, 0.2])
+        with pytest.raises(ValueError, match="one value per leaf"):
+            normals(self.RNG, ("p",), ["x"], [0.1, 0.2])
+
+    def test_sigma_must_be_scalar_or_one_dimensional(self):
+        with pytest.raises(ValueError, match="sigma"):
+            normals(self.RNG, ("p",), ["x", "y"], [[0.1, 0.2]])
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, [0.1, math.nan], -0.1, [0.1, -0.2]]
+    )
+    def test_sigma_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            normals(self.RNG, ("p",), ["x", "y"], bad)
+
+    def test_zero_dimensional_array_is_a_scalar(self):
+        got = normals(self.RNG, ("p",), ["x", "y"], np.array(0.3))
+        assert got.tolist() == normals(self.RNG, ("p",), ["x", "y"], 0.3).tolist()
+
+    def test_zero_sigma_draws_zero(self):
+        assert not normals(self.RNG, ("p",), ["x", "y"], 0.0).any()
+
+
+class TestStreamStatistics:
+    """Fixed-sample distribution checks at n = 20,000 (about 4-sigma bounds)."""
+
+    N = 20_000
+    SIGMA = 0.05
+
+    @pytest.fixture(scope="class")
+    def logs(self):
+        noise = NoiseModel(RngStream(2024).child("bench"), sigma=self.SIGMA)
+        factors, _ = noise.draw(("kernel", "x100.0", "busy0"), [f"r{i}" for i in range(self.N)])
+        return np.log(factors)
+
+    def test_log_factor_mean_and_variance(self, logs):
+        assert abs(logs.mean()) < 4 * self.SIGMA / math.sqrt(self.N)
+        rel_se = math.sqrt(2.0 / (self.N - 1))
+        assert abs(logs.var(ddof=1) / self.SIGMA**2 - 1.0) < 4 * rel_se
+
+    def test_ks_distance_against_the_normal(self, logs):
+        z = np.sort(logs / self.SIGMA)
+        cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z])
+        ranks = np.arange(1, self.N + 1) / self.N
+        distance = max((ranks - cdf).max(), (cdf - (ranks - 1.0 / self.N)).max())
+        assert distance < 1.95 / math.sqrt(self.N)  # the 0.1% critical value
+
+    def test_outlier_share_matches_outlier_prob(self):
+        p = 0.1
+        noise = NoiseModel(RngStream(7).child("bench"), sigma=0.02, outlier_prob=p)
+        _, outliers = noise.draw(("k",), [f"r{i}" for i in range(self.N)])
+        assert abs(outliers.mean() - p) < 4 * math.sqrt(p * (1 - p) / self.N)
+
+    def test_sibling_streams_are_uncorrelated(self):
+        rng = RngStream(11).child("bench")
+        reps = [f"r{i}" for i in range(self.N)]
+        a = normals(rng, ("kernel", "x100.0", "busy0"), reps, 1.0)
+        b = normals(rng, ("kernel", "x101.0", "busy0"), reps, 1.0)
+        bound = 4 / math.sqrt(self.N)
+        assert abs(np.corrcoef(a, b)[0, 1]) < bound  # same rep, sibling size
+        assert abs(np.corrcoef(a[:-1], a[1:])[0, 1]) < bound  # adjacent reps
+        u = uniforms(rng, ("kernel", "x100.0", "busy0"), reps)
+        assert abs(np.corrcoef(u, a)[0, 1]) < bound  # slot 0 vs the normal
 
 
 @dataclass(frozen=True)

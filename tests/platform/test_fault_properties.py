@@ -4,7 +4,7 @@ The fault plan is the seed of everything the fault-tolerance machinery
 does — if two identically-seeded plans ever disagreed, retries, degraded
 partitions and the recovery makespan would all fork.  These properties
 pin the contract for arbitrary seeds, probabilities and contexts, and
-hold both public lanes to the stream-chain walk in
+hold both public lanes to the scalar stream oracle in
 ``tests/oracles/platform_events.py``.
 """
 

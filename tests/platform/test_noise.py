@@ -5,7 +5,7 @@ import statistics
 
 import pytest
 
-import repro.util.rng as rng_module
+import repro.platform.events as events
 from repro.platform.noise import NoiseModel
 from repro.util.rng import RngStream
 
@@ -96,7 +96,7 @@ class TestDrawAndApply:
 
     def test_quiet_model_builds_no_generators(self, monkeypatch):
         built = []
-        monkeypatch.setattr(rng_module, "_seed_states", built.append)
+        monkeypatch.setattr(events, "stream_keys", lambda *args: built.append(args))
         factors, outliers = NoiseModel(RngStream(1), sigma=0.0).draw(
             ("panel",), self.LEAVES
         )

@@ -1,13 +1,11 @@
-"""Property tests: both noise lanes ≡ the stream-chain walk (hypothesis).
+"""Property tests: both noise lanes ≡ the scalar stream oracle (hypothesis).
 
-``NoiseModel.draw`` seeds all of a batch's streams in one bulk call but
-keeps one ``normal`` draw per stream on purpose — each repetition draws
-from its own BLAKE2-seeded PCG64 stream, and vectorising across distinct
-bit-generators cannot reproduce the walked draws (see
-:func:`repro.platform.events.normals`).  These properties lock the
-contract that justifies the loop: for arbitrary seeds, sigmas and
-outlier settings, ``perturb_batch``, ``draw``/``apply`` and ``perturb``
-(a batch of one) are bit-identical to the walk in
+``NoiseModel.draw`` keys all of a batch's streams in one vectorised call
+(see :func:`repro.platform.events.normals`); each repetition still draws
+from its own named stream.  These properties lock that contract: for
+arbitrary seeds, sigmas and outlier settings, ``perturb_batch``,
+``draw``/``apply`` and ``perturb`` (a batch of one) are bit-identical to
+the one-stream-at-a-time integer oracle in
 ``tests/oracles/platform_events.py`` — including the outlier branch.
 """
 

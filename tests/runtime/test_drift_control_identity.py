@@ -5,9 +5,8 @@ front and each panel's drift stretches in one call.  These tests swap in
 the per-unit scalar observer of ``tests/oracles/drift_control.py`` and
 require equal results, with outliers on and with a device dropping mid
 panel (the replayed panel must reuse its noise).  The work counts pin
-the batching itself: a noisy ramp run builds as many generators as the
-scalar observer did, all of them in bulk, in at most ``2 + n`` kernel
-calls.
+the batching itself: a noisy ramp run builds no numpy generator and
+makes at most ``2 + n`` keyed draw calls.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 import repro.runtime.drift_control as drift_control
+import repro.platform.events as events
 import repro.util.rng as rng_module
 from repro.app.matmul import HybridMatMul
 from repro.platform.drift import DriftModel
@@ -83,37 +83,34 @@ def test_replayed_panel_reuses_its_noise(app):
     assert observe(3.0, 8, ideals) != first
 
 
-def _counted_builds(monkeypatch):
-    counts = {"int": 0, "bulk": 0, "kernel": 0}
+def _counted_draws(monkeypatch):
+    counts = {"generators": 0, "draws": 0}
     real_generator = rng_module._generator
-    real_states = rng_module._seed_states
+    real_keys = events.stream_keys
 
     def generator(seed):
-        counts["int" if isinstance(seed, int) else "bulk"] += 1
+        counts["generators"] += 1
         return real_generator(seed)
 
-    def seed_states(seeds):
-        counts["kernel"] += 1
-        return real_states(seeds)
+    def stream_keys(*args):
+        counts["draws"] += 1
+        return real_keys(*args)
 
     monkeypatch.setattr(rng_module, "_generator", generator)
-    monkeypatch.setattr(rng_module, "_seed_states", seed_states)
+    monkeypatch.setattr(events, "stream_keys", stream_keys)
     return counts
 
 
-def test_noisy_ramp_seeds_every_stream_in_bulk(app, monkeypatch):
-    counts = _counted_builds(monkeypatch)
+def test_noisy_ramp_draws_without_generators(app, monkeypatch):
+    counts = _counted_draws(monkeypatch)
     scalar = _run(
         app, monkeypatch, oracle_panel_observer, mode="controller", noise=_noise()
     )
-    scalar_builds = counts["int"] + counts["bulk"]
-    assert scalar_builds > 0
-    counts.update(int=0, bulk=0, kernel=0)
+    counts.update(generators=0, draws=0)
     batched = run_with_drift_control(
         app, N, DriftModel.from_spec(RAMP, seed=11), noise=_noise()
     )
     assert batched == scalar
     assert batched.commits >= 1
-    assert counts["int"] == 0
-    assert counts["bulk"] == scalar_builds
-    assert counts["kernel"] <= 2 + N
+    assert counts["generators"] == 0
+    assert counts["draws"] <= 2 + N

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import repro.store.keys as keys_module
 from repro.measurement.benchmark import HybridBenchmark
 from repro.store import (
     bench_key,
@@ -51,6 +52,15 @@ class TestDigestKey:
 
     def test_default_salt_is_code_salt(self):
         assert digest_key("fpm", {}) == digest_key("fpm", {}, code_salt())
+
+    def test_schema_bump_moves_every_key(self, monkeypatch):
+        """Schema 2 (counter-based noise streams) never replays schema-1 payloads."""
+        key = {"seed": 42, "noise": 0.02, "fast": False}
+        assert keys_module.STORE_SCHEMA == 2
+        current = digest_key("result", key)
+        monkeypatch.setattr(keys_module, "STORE_SCHEMA", 1)
+        assert code_salt().endswith("-schema1")
+        assert digest_key("result", key) != current
 
     def test_any_key_field_change_changes_the_digest(self):
         base = {"seed": 42, "noise": 0.02, "fast": False}

@@ -9,29 +9,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import PCG64, Generator, SeedSequence
 
+import repro.platform.events as events_module
 import repro.util.rng as rng_module
 from repro.platform.drift import DriftModel
+from repro.platform.faults import FaultPlan
 from repro.platform.noise import NoiseModel
-from repro.util.rng import (
-    RngStream,
-    derive_seed,
-    sibling_generators,
-    sibling_seeds,
+from repro.util.rng import RngStream, derive_seed, key_uniforms, stream_keys
+
+from tests.oracles import platform_events as oracle
+
+names = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from(["r0", "x1.0"]),
 )
-
-#: Seeds at the kernel's word boundaries: one entropy word up to 2**32 - 1,
-#: two from 2**32 on.
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
-uint64_seeds = st.integers(min_value=0, max_value=2**64 - 1)
-
-
-def _reference_states(seeds):
-    return np.array(
-        [SeedSequence(seed).generate_state(4, np.uint64) for seed in seeds],
-        dtype=np.uint64,
-    ).reshape(len(seeds), 4)
 
 
 class TestDeriveSeed:
@@ -49,89 +41,68 @@ class TestDeriveSeed:
         assert derive_seed(1, "ab") != derive_seed(1, "a", "b")
 
 
-class TestSiblingSeeds:
+class TestStreamKeys:
+    """Counter-based stream keys: a left fold of component keys."""
+
     def test_tuple_leaf_spells_trailing_components(self):
-        assert sibling_seeds(1, ("a",), [("b", "c")])[0] == derive_seed(
+        assert stream_keys(1, ("a",), [("b", "c")])[0] == oracle.stream_key(
             1, "a", "b", "c"
         )
 
     def test_list_leaf_rejected(self):
         with pytest.raises(TypeError, match="list"):
-            sibling_seeds(1, ("a",), [["b", "c"]])
+            stream_keys(1, ("a",), [["b", "c"]])
 
+    def test_empty_leaf_is_the_prefix_stream(self):
+        assert stream_keys(1, ("a", "b"), [()])[0] == oracle.stream_key(1, "a", "b")
 
-class TestSeedStates:
-    """The bulk kernel reproduces ``SeedSequence(seed).generate_state``."""
+    def test_mixed_leaf_lengths_match_the_scalar_fold(self):
+        leaves = ["a", ("b", "c"), (), ("d", "e", "f"), 4]
+        keys = stream_keys(7, ("p",), leaves)
+        for leaf, key in zip(leaves, keys):
+            parts = leaf if isinstance(leaf, tuple) else (leaf,)
+            assert int(key) == oracle.stream_key(7, "p", *parts)
 
-    def test_edge_seeds(self):
-        got = rng_module._seed_states(EDGE_SEEDS)
-        assert got.dtype == np.uint64 and got.shape == (len(EDGE_SEEDS), 4)
-        assert np.array_equal(got, _reference_states(EDGE_SEEDS))
+    def test_no_leaves(self):
+        keys = stream_keys(1, ("a",), [])
+        assert keys.shape == (0,) and keys.dtype == np.uint64
+        assert key_uniforms(keys, 2).shape == (2, 0)
 
-    def test_empty_batch(self):
-        assert rng_module._seed_states([]).shape == (0, 4)
+    def test_path_structure_and_seed_position_matter(self):
+        assert stream_keys(1, (), ["ab"])[0] != stream_keys(1, ("a",), ["b"])[0]
+        # the seed is the fold's first component, not interchangeable with
+        # the first name
+        assert stream_keys(5, (), ["7"])[0] != stream_keys(7, (), ["5"])[0]
+        assert stream_keys(1, ("a",), ["b"])[0] != stream_keys(1, ("b",), ["a"])[0]
+
+    @pytest.mark.property
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        path=st.lists(names, max_size=6),
+        cut=st.integers(0, 6),
+    )
+    def test_split_invariance(self, seed, path, cut):
+        """Where a path is split into prefix and leaf never moves its key."""
+        cut = min(cut, len(path))
+        whole = stream_keys(seed, (), [tuple(path)])[0]
+        split = stream_keys(seed, path[:cut], [tuple(path[cut:])])[0]
+        assert whole == split == oracle.stream_key(seed, *path)
 
     @pytest.mark.property
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(uint64_seeds, min_size=1, max_size=600))
-    def test_random_batches(self, seeds):
-        assert np.array_equal(
-            rng_module._seed_states(seeds), _reference_states(seeds)
-        )
-
-    @pytest.mark.property
-    @settings(max_examples=25, deadline=None)
     @given(
-        st.lists(
-            st.one_of(uint64_seeds, st.sampled_from(EDGE_SEEDS)),
-            min_size=1,
-            max_size=12,
-        )
+        seed=st.integers(0, 2**64 - 1),
+        leaves=st.lists(names, min_size=1, max_size=20),
+        slots=st.integers(1, 2),
     )
-    def test_bulk_generators_match_directly_seeded_ones(self, seeds):
-        states = rng_module._seed_states(seeds)
-        for seed, state in zip(seeds, states):
-            bulk = rng_module._generator(rng_module._SeededState(seed, state))
-            direct = Generator(PCG64(seed))
-            assert bulk.bit_generator.state == direct.bit_generator.state
-            assert bulk.normal(size=3).tolist() == direct.normal(size=3).tolist()
-            assert bulk.uniform(size=3).tolist() == direct.uniform(size=3).tolist()
-            assert (
-                bulk.integers(0, 1000, 3).tolist()
-                == direct.integers(0, 1000, 3).tolist()
-            )
-
-    def test_sibling_generators_match_stream_generators(self):
-        leaves = [f"r{i}" for i in range(30)] + [("dev", "outlier")]
-        gens = sibling_generators(9, ("bench", "x1.0"), leaves)
-        for leaf, gen in zip(leaves, gens):
-            path = ("bench", "x1.0", *(leaf if isinstance(leaf, tuple) else (leaf,)))
-            direct = RngStream(9, path).generator
-            assert gen.bit_generator.state == direct.bit_generator.state
-
-    @pytest.mark.parametrize(
-        "clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy]
-    )
-    @pytest.mark.parametrize("seed", EDGE_SEEDS)
-    def test_copies_and_spawns_behave_like_direct_generators(self, clone, seed):
-        bulk = rng_module._generator(
-            rng_module._SeededState(seed, rng_module._seed_states([seed])[0])
-        )
-        direct = Generator(PCG64(seed))
-        for gen in (bulk, direct):
-            gen.normal(size=2)
-        bulk_copy, direct_copy = clone(bulk), clone(direct)
-        assert bulk_copy.bit_generator.state == direct_copy.bit_generator.state
-        assert bulk_copy.uniform(size=4).tolist() == direct_copy.uniform(
-            size=4
-        ).tolist()
-        for _ in range(2):  # a second spawn continues the child counter
-            assert [c.normal() for c in bulk_copy.spawn(2)] == [
-                c.normal() for c in direct_copy.spawn(2)
-            ]
-        assert [c.integers(0, 100, 4).tolist() for c in bulk.spawn(2)] == [
-            c.integers(0, 100, 4).tolist() for c in direct.spawn(2)
-        ]
+    def test_uniforms_match_the_integer_oracle(self, seed, leaves, slots):
+        draws = key_uniforms(stream_keys(seed, ("k",), leaves), slots)
+        for i, leaf in enumerate(leaves):
+            key = oracle.stream_key(seed, "k", leaf)
+            for slot in range(slots):
+                assert draws[slot, i] == oracle.key_uniform(key, slot)
+                assert 0.0 <= draws[slot, i] < 1.0
 
 
 class TestRngStream:
@@ -245,7 +216,9 @@ class TestPickleAndDeepcopy:
 
 
 class TestGeneratorBuildCount:
-    """Only a stream that draws builds a generator (no eager seeding)."""
+    """Only a stream that draws builds a generator (no eager seeding), and
+    platform events draw without building any.  ``_generator`` is the one
+    place a generator is built (REP101 pins that)."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -266,22 +239,19 @@ class TestGeneratorBuildCount:
         stream.uniform()
         assert builds[0] == 1
 
-    def test_noise_perturb_builds_one(self, builds):
-        noise = NoiseModel(RngStream(1).child("bench"), sigma=0.05)
-        noise.perturb(1.0, "gpu0", 4096, 3)
-        assert builds[0] == 1
-
-    def test_noise_perturb_with_outliers_builds_two(self, builds):
+    def test_noise_fault_and_drift_draws_build_no_generators(self, builds):
         noise = NoiseModel(
             RngStream(1).child("bench"), sigma=0.05, outlier_prob=0.1
         )
         noise.perturb(1.0, "gpu0", 4096, 3)
-        assert builds[0] == 2
-
-    def test_drift_burst_and_jitter_build_two(self, builds):
+        noise.perturb_batch(1.0, ("gpu0",), [f"r{i}" for i in range(40)])
+        plan = FaultPlan.from_spec("fail:*:p=0.3; spike:*:p=0.3,x=4", seed=2)
+        plan.kernel_outcome("gpu0", "x1.0", "r0", "a0")
+        plan.kernel_outcomes_batch("gpu0", ("x1.0",), [f"r{i}" for i in range(40)])
         model = DriftModel.from_spec(
-            "burst:gpu0:p=0.5,x=3,len=1; jitter:gpu0:sigma=0.1,w=1", seed=4
+            "burst:gpu0:p=0.5,x=3,len=1; jitter:*:sigma=0.1,w=1", seed=4
         )
-        builds[0] = 0
         model.speed_multiplier("gpu0", 2.5)
-        assert builds[0] == 2
+        model.speed_multipliers(["gpu0", "cpu0", "cpu1"], 7.0)
+        events_module.normals(RngStream(3), ("p",), ["a", "b"], [0.1, 0.2])
+        assert builds[0] == 0
