@@ -235,34 +235,22 @@ class HybridMatMul:
             unit_allocs = [
                 sum(process_allocs[r] for r in u.member_ranks) for u in units
             ]
+            return self._realise(n, strategy, units, unit_allocs, process_allocs)
+        if strategy is PartitioningStrategy.FPM:
+            models = self.models_for(units)
+            # the held result lets the rounding reuse the solve's rows
+            result = Solver().solve(models, float(total))
+            unit_allocs = round_partition(models, list(result.allocations), total)
+            unit_allocs = refine_integer_partition(models, unit_allocs)
         else:
-            if strategy is PartitioningStrategy.FPM:
-                models = self.models_for(units)
-                # the held result lets the rounding reuse the solve's rows
-                result = Solver().solve(models, float(total))
-                unit_allocs = round_partition(
-                    models, list(result.allocations), total
-                )
-                unit_allocs = refine_integer_partition(models, unit_allocs)
-            else:
-                calibration = cpm_calibration_total or 40.0 * 40.0
-                constants = self.constant_models(calibration)
-                continuous = list(
-                    Solver(strategy="cpm").solve(constants, float(total)).allocations
-                )
-                speeds = [c.speed for c in constants]
-                unit_allocs = round_partition(speeds, continuous, total)
-            process_allocs = self._expand_to_processes(units, unit_allocs)
-
-        partition = column_based_partition(process_allocs, n)
-        return MatMulPlan(
-            n=n,
-            strategy=strategy,
-            units=tuple(units),
-            unit_allocations=tuple(unit_allocs),
-            process_allocations=tuple(process_allocs),
-            partition=partition,
-        )
+            calibration = cpm_calibration_total or 40.0 * 40.0
+            constants = self.constant_models(calibration)
+            continuous = list(
+                Solver(strategy="cpm").solve(constants, float(total)).allocations
+            )
+            speeds = [c.speed for c in constants]
+            unit_allocs = round_partition(speeds, continuous, total)
+        return self._realise(n, strategy, units, unit_allocs)
 
     def plan_from_unit_allocations(
         self,
@@ -273,27 +261,11 @@ class HybridMatMul:
         """Materialise a plan from externally computed unit allocations.
 
         Used by refinement passes (e.g. communication-aware adjustment)
-        that post-process the partitioner's output before geometry.
+        that post-process the partitioner's output before geometry:
+        :meth:`plan_for_units` over every unit of the node.
         """
-        check_positive_int("n", n)
-        units = self.compute_units()
-        if len(unit_allocations) != len(units):
-            raise ValueError(
-                f"{len(unit_allocations)} allocations for {len(units)} units"
-            )
-        if sum(unit_allocations) != n * n:
-            raise ValueError(
-                f"allocations sum to {sum(unit_allocations)}, expected {n * n}"
-            )
-        process_allocs = self._expand_to_processes(units, list(unit_allocations))
-        partition = column_based_partition(process_allocs, n)
-        return MatMulPlan(
-            n=n,
-            strategy=PartitioningStrategy(strategy),
-            units=tuple(units),
-            unit_allocations=tuple(int(a) for a in unit_allocations),
-            process_allocations=tuple(process_allocs),
-            partition=partition,
+        return self.plan_for_units(
+            n, self.compute_units(), unit_allocations, strategy
         )
 
     def plan_for_units(
@@ -305,7 +277,7 @@ class HybridMatMul:
     ) -> MatMulPlan:
         """Materialise a plan over a *subset* of this node's units.
 
-        The degraded-mode seam used by :mod:`repro.runtime.recovery`:
+        The degraded-mode seam used by :mod:`repro.runtime.episode`:
         after a device drop, the partitioner re-solves over the surviving
         units and this method expands the allocations to processes and
         rebuilds the geometry.  Ranks of excluded units receive zero
@@ -313,29 +285,51 @@ class HybridMatMul:
         node's full process set.
         """
         check_positive_int("n", n)
+        return self._realise(
+            n, PartitioningStrategy(strategy), list(units), unit_allocations
+        )
+
+    def _realise(
+        self,
+        n: int,
+        strategy: PartitioningStrategy,
+        units: list[ComputeUnit],
+        unit_allocs: list[int],
+        process_allocs: list[int] | None = None,
+    ) -> MatMulPlan:
+        """The one place a :class:`MatMulPlan` is built.
+
+        Checks that ``units`` are distinct units of this node with one
+        allocation each summing to ``n^2``, expands the unit allocations
+        to processes unless ``process_allocs`` is given, and arranges the
+        process rectangles with the column-based geometry.
+        """
+        names = [u.name for u in units]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"unit {name!r} appears more than once")
         known = {u.name for u in self.compute_units()}
-        unknown = [u.name for u in units if u.name not in known]
+        unknown = [name for name in names if name not in known]
         if unknown:
             raise ValueError(f"units not on this node: {unknown}")
-        if len(unit_allocations) != len(units):
+        if len(unit_allocs) != len(units):
             raise ValueError(
-                f"{len(unit_allocations)} allocations for {len(units)} units"
+                f"{len(unit_allocs)} allocations for {len(units)} units"
             )
-        if sum(unit_allocations) != n * n:
+        unit_allocs = [int(a) for a in unit_allocs]
+        if sum(unit_allocs) != n * n:
             raise ValueError(
-                f"allocations sum to {sum(unit_allocations)}, expected {n * n}"
+                f"allocations sum to {sum(unit_allocs)}, expected {n * n}"
             )
-        process_allocs = self._expand_to_processes(
-            list(units), [int(a) for a in unit_allocations]
-        )
-        partition = column_based_partition(process_allocs, n)
+        if process_allocs is None:
+            process_allocs = self._expand_to_processes(units, unit_allocs)
         return MatMulPlan(
             n=n,
-            strategy=PartitioningStrategy(strategy),
+            strategy=strategy,
             units=tuple(units),
-            unit_allocations=tuple(int(a) for a in unit_allocations),
+            unit_allocations=tuple(unit_allocs),
             process_allocations=tuple(process_allocs),
-            partition=partition,
+            partition=column_based_partition(process_allocs, n),
         )
 
     # ------------------------------------------------------------ execute

@@ -22,13 +22,14 @@ and apply the closed form elementwise.
 Bit-identity contract
 ---------------------
 Every kernel here has a one-model form that performs the *same*
-floating-point operations in the *same* order: :func:`time_row_at`,
-which drift control uses in production, and the allocation kernel's
-``allocation_row_at``, which lives with the scalar reference partitioner
-in ``tests/oracles/partition.py``.  The oracle walks models with the
+floating-point operations in the *same* order; none of them runs in
+production.  The time kernel's ``time_row_at`` and the one-model row
+build ``row_params`` live in ``tests/oracles/batch.py``, the allocation
+kernel's ``allocation_row_at`` with the scalar reference partitioner in
+``tests/oracles/partition.py``.  The oracles walk models with the
 one-model forms; the vectorised partitioner uses the matrix kernels —
 and the two are **bit-identical** on every input, which the property
-suite enforces.  A formula change here must update the oracle too, or
+suite enforces.  A formula change here must update the oracles too, or
 the identity tests will fail.
 
 Models whose knot times are not non-decreasing (no monotone time
@@ -160,48 +161,6 @@ def _stack_rows(fns, out, at) -> None:
         nseg[idx] = m
         caps[idx] = cap
         monotone[idx] = (kt[:, 1:] >= kt[:, :-1] * (1.0 - 1e-12)).all(axis=1)
-
-
-def _row_params(fn: SpeedFunction):
-    """One model's solver row (the one-model case of :func:`_stack_rows`).
-
-    Returns ``(sizes, speeds, knot_times, table, monotone)`` with
-    ``table`` of shape ``(m + 1, 4)``; cached on the speed function,
-    because the one-model kernels query it once per model per call.
-    """
-    cached = getattr(fn, "_solver_row_cache", None)
-    if cached is not None:
-        return cached
-    m = len(fn._sizes)
-    out = _padded(1, m)
-    _stack_rows((fn,), out, (0,))
-    knot_times, sizes, speeds, table, _, _, monotone = out
-    row = (
-        sizes[0, :m],
-        speeds[0, :m],
-        knot_times[0, :m],
-        table[0],
-        bool(monotone[0]),
-    )
-    object.__setattr__(fn, "_solver_row_cache", row)
-    return row
-
-
-def time_row_at(fn: SpeedFunction, size: float) -> float:
-    """Scalar twin of the batched time kernel: ``t(x) = x / s(x)``."""
-    if size <= 0.0:
-        return 0.0
-    sizes, speeds, _, _, _ = _row_params(fn)
-    k = int((sizes < size).sum())
-    if k == 0:
-        s = speeds[0]
-    elif k == sizes.size:
-        s = speeds[-1]
-    else:
-        x0, x1 = sizes[k - 1], sizes[k]
-        s0, s1 = speeds[k - 1], speeds[k]
-        s = s0 + ((size - x0) / (x1 - x0)) * (s1 - s0)
-    return size / s
 
 
 class BatchSpeedModels:
@@ -400,8 +359,8 @@ class BatchSpeedModels:
     def times_at(self, sizes) -> np.ndarray:
         """Per-model execution time at per-model sizes (the bracket seed).
 
-        Vectorised twin of :func:`time_row_at` — element ``i`` is that
-        scalar call on model ``i``.
+        Element ``i`` is the one-model time kernel on model ``i`` (the
+        ``time_row_at`` oracle in ``tests/oracles/batch.py``) bit for bit.
         """
         xs = np.asarray(sizes, dtype=float)
         counts = (self._sizes < xs[:, None]).sum(axis=1)

@@ -10,7 +10,7 @@ against the current model's predictions, and when drift is *sustained*
 inflation estimates.  :func:`run_with_drift_control` then prices a
 repartition — a warm :meth:`~repro.core.solver.Solver.resolve` over the
 rescaled models, the migration + plan-broadcast charge of
-:func:`~repro.runtime.recovery.plan_switch_cost` — and commits the new
+:func:`~repro.runtime.episode.plan_switch_cost` — and commits the new
 plan only when the predicted makespan gain over the *remaining* panels
 beats that cost by the policy margin.
 
@@ -29,13 +29,16 @@ place, hence zero repartitions.  Rejections recalibrate too: a gain not
 worth the migration cost is *accepted as the new normal* instead of
 being re-litigated every panel.
 
-Device drops compose with drift: :func:`run_with_drift_control` accepts
-the same drop schedule as :func:`~repro.runtime.recovery.run_with_recovery`
-and re-solves over the survivors through the shared warm-state chain.
-The warm rows already carry every committed model rescale, so the drop
-re-solve passes *only* ``dropped`` indices — never ``changed_models``
-again — which is what keeps a drop landing mid-repartition from
-double-applying the controller's updates.
+Device drops compose with drift: both this run and
+:func:`~repro.runtime.recovery.run_with_recovery` are one re-planning
+:class:`~repro.runtime.episode.Episode`, so they accept the same drop
+schedule and handle a drop with the same transition, re-solving over
+the survivors through the shared warm-state chain.  The warm rows
+already carry every committed model rescale, so the drop re-solve passes
+*only* ``dropped`` indices — never ``changed_models`` again — which is
+what keeps a drop landing mid-repartition from double-applying the
+controller's updates.  A committed repartition goes through the same
+``switch`` transition as a drop.
 """
 
 from __future__ import annotations
@@ -44,23 +47,14 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from repro.core.batch import time_row_at
-from repro.core.fpm import as_speed_function
-from repro.core.integer import refine_integer_partition, round_partition
-from repro.core.solver import Solver
 from repro.measurement.timer import compose_timing
 from repro.obs import get_tracer
 from repro.platform.drift import DriftModel
 from repro.platform.faults import DeviceDrop, FaultPlan
 from repro.platform.noise import NoiseModel
+from repro.runtime.episode import DropEvent, Episode
 from repro.runtime.event_sim import EventSimulator
-from repro.runtime.mpi_sim import SimulatedComm
-from repro.runtime.recovery import (
-    DropEvent,
-    RecoveryError,
-    RecoveryPolicy,
-    plan_switch_cost,
-)
+from repro.runtime.recovery import RecoveryPolicy
 from repro.util.validation import (
     check_in,
     check_nonnegative,
@@ -179,15 +173,6 @@ class DriftController:
         self._cooldown = (
             self.policy.cooldown_panels if cooldown is None else cooldown
         )
-
-    def drop_unit(self, name: str) -> None:
-        """Forget a dropped unit (its timings stop arriving)."""
-        self._expected.pop(name, None)
-        self._ewma.pop(name, None)
-        self._gp.pop(name, None)
-        self._gn.pop(name, None)
-        self._pos_onset.pop(name, None)
-        self._neg_onset.pop(name, None)
 
     def _inflation(self, name: str) -> float:
         """Post-change time-inflation estimate of one unit.
@@ -336,6 +321,149 @@ def _panel_observer(
     return observe
 
 
+class _DriftEpisode(Episode):
+    """Truth: each unit's model time x drift x noise, plus the pivot broadcast.
+
+    Policy: ``static`` re-plans only on drops, ``controller`` runs the
+    :class:`DriftController` loop after every panel and ``oracle`` reads
+    the true multipliers.  A decision re-solves on the warm chain and
+    commits through the episode's ``switch``.
+    """
+
+    def __init__(self, app, n, drift, policy, mode, noise, drops) -> None:
+        super().__init__(app, n, drops, policy.recovery)
+        self.drift = drift
+        self.policy = policy
+        self.mode = mode
+        # the initial solve's rows price every plan's ideal panel times
+        self.base = self.initial.warm.batch
+        self.base_by_name = dict(zip(self.unit_names, self.base.fns))
+        self.scales = {name: 1.0 for name in self.unit_names}
+        self.events: list[RepartitionEvent] = []
+        self.controller: DriftController | None = None
+        self.adopt()
+        if mode == "controller":
+            self.controller = DriftController(self.expected_times(), policy)
+        self.observe = _panel_observer(drift, noise, n, self.unit_names)
+
+    # -------------------------------------------------------------- truth
+    def _comm_s(self, plan) -> float:
+        """Per-panel pivot broadcast of ``plan`` over the alive units."""
+        recv = [
+            2.0 * math.sqrt(float(plan.allocation_of(u.name)))
+            for u in self.alive_units()
+        ]
+        return self.state.comm.pivot_bcast_time(recv, self.app.node.block_size)
+
+    def adopt(self) -> None:
+        """The plan's ideal per-unit panel times and pivot broadcast.
+
+        Both depend only on the plan and the alive set, so they are
+        computed here, once per plan, not on every panel.  The
+        controller's expectations follow the plan too.
+        """
+        times = self.base.times_at(self.unit_allocations()).tolist()
+        self.ideals = {
+            name: t
+            for name, t in zip(self.unit_names, times)
+            if name in self.state.alive
+        }
+        self.comm_s = self._comm_s(self.state.plan)
+        if self.controller is not None:
+            self.controller.recalibrate(self.expected_times())
+
+    def panel_s(self, sim: EventSimulator) -> float:
+        self.observed = self.observe(sim.now, self.state.completed, self.ideals)
+        return max(self.observed.values()) + self.comm_s
+
+    def expected_times(self) -> dict[str, float]:
+        """The current plan's per-unit times under the warm models' scales."""
+        result, names = self.state.warm
+        times = result.warm.batch.times_at(
+            [self.state.plan.allocation_of(name) for name in names]
+        )
+        return dict(zip(names, times.tolist()))
+
+    # ------------------------------------------------------------- policy
+    def after_panel(self, sim: EventSimulator) -> bool:
+        if self.mode == "controller":
+            inflation = self.controller.observe(self.observed)
+            if inflation is None:
+                return False
+            step = self.policy.min_scale_step
+            return self.evaluate(sim, {
+                name: (
+                    self.scales[name] / inflation[name]
+                    if abs(inflation[name] - 1.0) > step
+                    else self.scales[name]
+                )
+                for name in inflation
+            })
+        if self.mode == "oracle":
+            names = [u.name for u in self.alive_units()]
+            truth = dict(
+                zip(names, self.drift.speed_multipliers(names, sim.now).tolist())
+            )
+            if all(truth[name] == self.scales[name] for name in truth):
+                return False
+            return self.evaluate(sim, truth)
+        return False
+
+    def evaluate(self, sim: EventSimulator, scales_new: dict) -> bool:
+        """Resolve under ``scales_new``; commit iff gain beats cost.
+
+        Returns True when a switch was committed (the episode resumes
+        after the charge).  Whether or not the plan switches, the warm
+        state and assumed scales adopt the new estimates.
+        """
+        state, policy = self.state, self.policy
+        live = self.alive_units()
+        prev_result, prev_names = state.warm
+        # each rescaled model is built once; the warm rows of the others
+        # already carry their (unchanged) scales
+        changed = {
+            i: self.base_by_name[name].scaled(scales_new[name])
+            for i, name in enumerate(prev_names)
+            if scales_new[name] != self.scales[name]
+        }
+        result = prev_result
+        if changed:
+            result = self.solver.resolve(prev_result, changed_models=changed)
+        allocs = self.allocations(result)
+        new_plan = self.app.plan_for_units(self.n, live, allocs)
+        batch = result.warm.batch
+        current_compute = max(
+            batch.times_at([state.plan.allocation_of(u.name) for u in live]).tolist()
+        )
+        new_compute = max(batch.times_at(allocs).tolist())
+        gain = (
+            (current_compute + self.comm_s)
+            - (new_compute + self._comm_s(new_plan))
+        ) * (self.n - state.completed)
+        moved, cost = self.price(new_plan, state.comm)
+        cost += policy.resolve_cost_s
+        commit = gain > (1.0 + policy.commit_margin) * cost
+        self.events.append(
+            RepartitionEvent(
+                panel=state.completed,
+                time_s=sim.now,
+                committed=commit,
+                predicted_gain_s=gain,
+                cost_s=cost,
+                blocks_moved=moved,
+                speed_scales=tuple(scales_new[u.name] for u in live),
+            )
+        )
+        state.warm = (result, prev_names)
+        self.scales = dict(self.scales, **scales_new)
+        if commit:
+            self.switch(sim, new_plan, state.comm, moved, cost)
+        elif self.controller is not None:
+            # a rejected gain is accepted as the new normal
+            self.controller.recalibrate(self.expected_times())
+        return commit
+
+
 def run_with_drift_control(
     app: "HybridMatMul",
     n: int,
@@ -361,288 +489,17 @@ def run_with_drift_control(
     """
     check_positive_int("n", n)
     check_in("mode", mode, MODES)
-    if isinstance(drops, FaultPlan):
-        drops = drops.device_drops()
-    drops = sorted(drops, key=lambda d: (d.time_s, d.device))
-
-    units = app.compute_units()
-    unit_names = tuple(u.name for u in units)
-    unknown = [d.device for d in drops if d.device not in unit_names]
-    if unknown:
-        raise ValueError(
-            f"dropped devices not on this node: {unknown} "
-            f"(units: {list(unit_names)})"
-        )
-    if len({d.device for d in drops}) != len(drops):
-        raise ValueError("each device can drop at most once")
-
-    base_fns = {
-        u.name: as_speed_function(m)
-        for u, m in zip(units, app.models_for(units))
-    }
-    total = n * n
-    solver = Solver()
-    block_size = app.node.block_size
-
-    def integer_allocations(result) -> list[int]:
-        # the warm batch's own models are the live units' models at the
-        # adopted scales; the held result lets the rounding reuse its rows
-        fns = result.warm.batch.fns
-        allocs = round_partition(fns, list(result.allocations), total)
-        return refine_integer_partition(fns, allocs)
-
-    # Initial solve through the facade so the warm chain starts here.
-    initial = solver.solve([base_fns[name] for name in unit_names], float(total))
-    baseline_allocs = integer_allocations(initial)
-    baseline_plan = app.plan_from_unit_allocations(n, baseline_allocs)
-
-    comm = SimulatedComm(app.binding.num_processes, app.comm_model)
-
-    def panel_comm_s(plan, alive_units, comm_now) -> float:
-        recv = [
-            2.0 * math.sqrt(float(plan.allocation_of(u.name)))
-            for u in alive_units
-        ]
-        return comm_now.pivot_bcast_time(recv, block_size)
-
-    state: dict = {
-        "completed": 0,
-        "plan": None,
-        "ideals": None,
-        "alive": set(unit_names),
-        "scales": {name: 1.0 for name in unit_names},
-        "warm": (initial, unit_names),
-        "comm": comm,
-        "comm_s": panel_comm_s(baseline_plan, units, comm),
-        "inflight": None,
-        "switching": None,
-        "finish_s": None,
-        "obs": None,
-        "events": [],
-        "applied": [],
-        "ignored": [],
-        "blocks_migrated": 0,
-        "switch_s": 0.0,
-    }
-
-    def alive_units() -> list:
-        return [u for u in units if u.name in state["alive"]]
-
-    def adopt(plan) -> None:
-        """Make ``plan`` current, with its alive units' ideal panel times.
-
-        The ideal times depend only on the plan and the alive set, so
-        they are computed here, once, not on every panel.
-        """
-        state["plan"] = plan
-        state["ideals"] = {
-            u.name: time_row_at(base_fns[u.name], float(plan.allocation_of(u.name)))
-            for u in alive_units()
-        }
-
-    def expected_times(plan) -> dict[str, float]:
-        """The plan's per-unit times under the warm models' scales."""
-        result, names = state["warm"]
-        times = result.warm.batch.times_at(
-            [plan.allocation_of(name) for name in names]
-        )
-        return dict(zip(names, times.tolist()))
-
-    adopt(baseline_plan)
-    controller: DriftController | None = None
-    if mode == "controller":
-        controller = DriftController(expected_times(baseline_plan), policy)
-
-    observe = _panel_observer(drift, noise, n, unit_names)
-
-    def start_panel(sim: EventSimulator) -> None:
-        obs = observe(sim.now, state["completed"], state["ideals"])
-        state["obs"] = obs
-        duration = max(obs.values()) + state["comm_s"]
-        state["inflight"] = sim.schedule(duration, finish_panel)
-
-    def switched(sim: EventSimulator) -> None:
-        state["switching"] = None
-        start_panel(sim)
-
-    def evaluate_repartition(sim: EventSimulator, scales_new: dict) -> bool:
-        """Resolve under ``scales_new``; commit iff gain beats cost.
-
-        Returns True when a switch was committed (the caller must not
-        start the next panel; ``switched`` resumes after the charge).
-        Whether or not the plan switches, the warm state and assumed
-        scales adopt the new estimates.
-        """
-        live = alive_units()
-        prev_result, prev_names = state["warm"]
-        # each rescaled model is built once; the warm rows of the others
-        # already carry their (unchanged) scales
-        changed = {
-            i: base_fns[name].scaled(scales_new[name])
-            for i, name in enumerate(prev_names)
-            if scales_new[name] != state["scales"][name]
-        }
-        result = (
-            solver.resolve(prev_result, changed_models=changed)
-            if changed
-            else prev_result
-        )
-        allocs = integer_allocations(result)
-        new_plan = app.plan_for_units(n, live, allocs)
-        remaining = n - state["completed"]
-        batch = result.warm.batch
-        current_compute = max(
-            batch.times_at(
-                [state["plan"].allocation_of(u.name) for u in live]
-            ).tolist()
-        )
-        new_compute = max(batch.times_at(allocs).tolist())
-        new_comm_s = panel_comm_s(new_plan, live, state["comm"])
-        gain = (
-            (current_compute + state["comm_s"]) - (new_compute + new_comm_s)
-        ) * remaining
-        moved, cost = plan_switch_cost(
-            state["plan"].process_allocations,
-            new_plan.process_allocations,
-            state["comm"],
-            policy.recovery,
-        )
-        cost += policy.resolve_cost_s
-        commit = gain > (1.0 + policy.commit_margin) * cost
-        state["events"].append(
-            RepartitionEvent(
-                panel=state["completed"],
-                time_s=sim.now,
-                committed=commit,
-                predicted_gain_s=gain,
-                cost_s=cost,
-                blocks_moved=moved,
-                speed_scales=tuple(scales_new[u.name] for u in live),
-            )
-        )
-        state["warm"] = (result, prev_names)
-        state["scales"] = dict(state["scales"], **scales_new)
-        if commit:
-            adopt(new_plan)
-            state["comm_s"] = new_comm_s
-            state["blocks_migrated"] += moved
-            state["switch_s"] += cost
-            state["switching"] = sim.schedule(cost, switched)
-        if controller is not None:
-            controller.recalibrate(expected_times(state["plan"]))
-        return commit
-
-    def oracle_check(sim: EventSimulator) -> bool:
-        names = [u.name for u in alive_units()]
-        truth = dict(
-            zip(names, drift.speed_multipliers(names, sim.now).tolist())
-        )
-        if all(
-            truth[name] == state["scales"][name] for name in truth
-        ):
-            return False
-        return evaluate_repartition(sim, truth)
-
-    def finish_panel(sim: EventSimulator) -> None:
-        state["inflight"] = None
-        state["completed"] += 1
-        if state["completed"] >= n:
-            state["finish_s"] = sim.now
-            return
-        if mode == "controller":
-            inflation = controller.observe(state["obs"])
-            if inflation is not None:
-                scales_new = {
-                    name: (
-                        state["scales"][name] / inflation[name]
-                        if abs(inflation[name] - 1.0) > policy.min_scale_step
-                        else state["scales"][name]
-                    )
-                    for name in inflation
-                }
-                if evaluate_repartition(sim, scales_new):
-                    return
-        elif mode == "oracle":
-            if oracle_check(sim):
-                return
-        start_panel(sim)
-
-    def make_drop(drop: DeviceDrop):
-        def on_drop(sim: EventSimulator) -> None:
-            if state["completed"] >= n:
-                state["ignored"].append(drop)
-                return
-            if state["inflight"] is not None:
-                state["inflight"].cancel()  # the panel is replayed degraded
-                state["inflight"] = None
-            if state["switching"] is not None:
-                # The drop interrupts an in-flight plan switch; the
-                # survivors re-solve below supersedes it.
-                state["switching"].cancel()
-                state["switching"] = None
-            state["alive"].discard(drop.device)
-            if controller is not None:
-                controller.drop_unit(drop.device)
-            survivors = alive_units()
-            if not survivors:
-                raise RecoveryError(
-                    f"no surviving compute units after dropping {drop.device!r}"
-                )
-            prev_result, prev_names = state["warm"]
-            dropped_idx = [
-                i for i, name in enumerate(prev_names)
-                if name not in state["alive"]
-            ]
-            # Only ``dropped`` here: the warm rows already carry every
-            # committed rescale, so re-passing changed_models would
-            # double-apply them.
-            result = solver.resolve(prev_result, dropped=dropped_idx)
-            new_names = tuple(
-                name for name in prev_names if name in state["alive"]
-            )
-            allocs = integer_allocations(result)
-            new_plan = app.plan_for_units(n, survivors, allocs)
-            survivor_ranks = [r for u in survivors for r in u.member_ranks]
-            shrunk = state["comm"].shrink(len(survivor_ranks))
-            moved, cost = plan_switch_cost(
-                state["plan"].process_allocations,
-                new_plan.process_allocations,
-                shrunk,
-                policy.recovery,
-            )
-            state["warm"] = (result, new_names)
-            adopt(new_plan)
-            state["comm"] = shrunk
-            state["comm_s"] = panel_comm_s(new_plan, survivors, shrunk)
-            state["blocks_migrated"] += moved
-            state["switch_s"] += cost
-            state["applied"].append(
-                DropEvent(
-                    device=drop.device,
-                    time_s=drop.time_s,
-                    panels_completed=state["completed"],
-                )
-            )
-            if controller is not None:
-                controller.recalibrate(expected_times(new_plan))
-            state["switching"] = sim.schedule(cost, switched)
-
-        return on_drop
-
+    episode = _DriftEpisode(app, n, drift, policy, mode, noise, drops)
+    state, controller, events = episode.state, episode.controller, episode.events
     tracer = get_tracer()
     with tracer.span(
         "runtime.drift_control",
         category="runtime",
         n=n,
         mode=mode,
-        drops=len(drops),
+        drops=len(episode.drops),
     ) as span:
-        sim = EventSimulator()
-        start_panel(sim)
-        for drop in drops:
-            sim.schedule_at(drop.time_s, make_drop(drop))
-        sim.run()
-        events: list[RepartitionEvent] = state["events"]
+        episode.run()
         commits = sum(1 for e in events if e.committed)
         if tracer.enabled:
             tracer.counter("runtime.drift.panels").add(n)
@@ -660,25 +517,19 @@ def run_with_drift_control(
                 if event.committed:
                     cost_hist.observe(event.cost_s)
         span.set_attr("repartitions", commits)
-        span.mark_sim(0.0, state["finish_s"])
+        span.mark_sim(0.0, state.finish_s)
 
-    final_plan = state["plan"]
-    final_names = {u.name for u in final_plan.units}
-    final = tuple(
-        final_plan.allocation_of(name) if name in final_names else 0
-        for name in unit_names
-    )
     return DriftRunResult(
         n=n,
         mode=mode,
-        total_time_s=state["finish_s"],
+        total_time_s=state.finish_s,
         repartitions=tuple(events),
         detections=controller.detections if controller is not None else 0,
-        unit_names=unit_names,
-        baseline_unit_allocations=tuple(baseline_allocs),
-        final_unit_allocations=final,
-        blocks_migrated=state["blocks_migrated"],
-        switch_time_s=state["switch_s"],
-        drops=tuple(state["applied"]),
-        ignored_drops=tuple(state["ignored"]),
+        unit_names=episode.unit_names,
+        baseline_unit_allocations=tuple(episode.baseline_allocations),
+        final_unit_allocations=episode.unit_allocations(),
+        blocks_migrated=state.blocks_migrated,
+        switch_time_s=state.switch_s,
+        drops=tuple(state.applied),
+        ignored_drops=tuple(state.ignored),
     )

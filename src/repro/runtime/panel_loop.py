@@ -17,9 +17,10 @@ The per-device event walk is kept as a test fixture
 (``tests/oracles/panel_loop.py``), not as a second lane here.  Both run
 on the same event engine and perform the same IEEE operations
 elementwise — per-device compute times from the solver's stacked segment
-tables (:meth:`BatchSpeedModels.times_at`) or their scalar twin
-(:func:`~repro.core.batch.time_row_at`), per-panel collectives from
-:meth:`SimulatedComm.pivot_bcast_time` — so totals, per-panel finish
+tables (:meth:`BatchSpeedModels.times_at` here, its one-model oracle
+``time_row_at`` from ``tests/oracles/batch.py`` there), per-panel
+collectives from :meth:`SimulatedComm.pivot_bcast_time` — so totals,
+per-panel finish
 times, per-device compute accumulations and ``events_processed`` are
 **bit-identical**.  The identity suites (tests/runtime/test_panel_loop.py
 and the hypothesis suite) enforce this; a change to the panel arithmetic

@@ -4,11 +4,14 @@ The FPM partitioner "predicts the future" for a fixed device set; this
 module is what happens when the future disagrees.  A
 :class:`~repro.platform.faults.DeviceDrop` removes one compute unit at a
 simulated time; the runtime aborts the in-flight panel, re-solves the
-partition over the *surviving* units (reusing the exact machinery of
-:mod:`repro.core.partition` — or, model-free, the observed-speed
-rebalancer of :mod:`repro.core.dynamic`), charges data migration plus a
-plan broadcast on a shrunk communicator (the ULFM ``MPI_Comm_shrink``
-analogue), and replays the remaining panels under the degraded plan.
+partition over the *surviving* units (a warm
+:meth:`~repro.core.solver.Solver.resolve` of the baseline FPM solve — or,
+model-free, the observed-speed rebalancer of :mod:`repro.core.dynamic`),
+charges data migration plus a plan broadcast on a shrunk communicator
+(the ULFM ``MPI_Comm_shrink`` analogue), and replays the remaining panels
+under the degraded plan.  The drop handling itself is the shared
+re-planning :class:`~repro.runtime.episode.Episode`; this module supplies
+its truth (the app's simulated iteration time) and its drop policy.
 
 Everything is deterministic: the drop schedule comes from a seeded
 :class:`~repro.platform.faults.FaultPlan` (or explicit drops), the event
@@ -23,16 +26,19 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.dynamic import SpeedBasedRebalancer
-from repro.core.integer import refine_integer_partition, round_partition
-from repro.core.solver import Solver
 from repro.obs import get_tracer
 from repro.platform.faults import DeviceDrop, FaultPlan
+from repro.runtime.episode import (
+    DropEvent,
+    Episode,
+    RecoveryError,
+    plan_switch_cost,
+)
 from repro.runtime.event_sim import EventSimulator
-from repro.runtime.mpi_sim import SimulatedComm
 from repro.util.validation import check_in, check_nonnegative, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (app imports runtime)
-    from repro.app.matmul import HybridMatMul, MatMulPlan
+    from repro.app.matmul import ComputeUnit, HybridMatMul, MatMulPlan
 
 __all__ = [
     "RecoveryError",
@@ -42,10 +48,6 @@ __all__ = [
     "plan_switch_cost",
     "run_with_recovery",
 ]
-
-
-class RecoveryError(RuntimeError):
-    """Recovery is impossible (no survivors, or capacity exhausted)."""
 
 
 @dataclass(frozen=True)
@@ -69,15 +71,6 @@ class RecoveryPolicy:
         check_in("strategy", self.strategy, ("fpm", "observed"))
         check_nonnegative("migration_cost_per_block", self.migration_cost_per_block)
         check_nonnegative("replan_nbytes", self.replan_nbytes)
-
-
-@dataclass(frozen=True)
-class DropEvent:
-    """One device drop as the runtime experienced it."""
-
-    device: str
-    time_s: float
-    panels_completed: int  # main-loop iterations finished when it struck
 
 
 @dataclass(frozen=True)
@@ -109,31 +102,6 @@ class RecoveryResult:
         return self.recovery_time_s / self.fault_free_time_s - 1.0
 
 
-def plan_switch_cost(
-    old_by_rank: Sequence[int],
-    new_by_rank: Sequence[int],
-    comm: SimulatedComm,
-    policy: RecoveryPolicy,
-) -> tuple[int, float]:
-    """Migration + plan-broadcast cost of switching per-rank allocations.
-
-    ``moved`` counts only blocks a rank *gains* (every moved block has
-    exactly one receiver, so counting receipts avoids double-charging
-    the sender side); the time charge is the migration of those blocks
-    plus one broadcast of the new plan on ``comm``.  Shared by drop
-    recovery and the drift repartition controller so both price a plan
-    switch identically.
-    """
-    moved = sum(
-        max(0, new - old) for new, old in zip(new_by_rank, old_by_rank)
-    )
-    seconds = (
-        moved * policy.migration_cost_per_block
-        + comm.bcast_time(policy.replan_nbytes)
-    )
-    return moved, seconds
-
-
 def _observed_unit_times(units, processes, plan) -> list[float]:
     """Per-unit iteration times observed under ``plan`` (max over members)."""
     by_rank = {p.rank: p for p in processes}
@@ -149,52 +117,43 @@ def _observed_unit_times(units, processes, plan) -> list[float]:
     ]
 
 
-def _survivor_allocations(
-    app: "HybridMatMul",
-    plan: "MatMulPlan",
-    survivors: list,
-    n: int,
-    policy: RecoveryPolicy,
-    processes: list,
-    warm=None,
-):
-    """Re-solve the allocation over the surviving units.
+class _RecoveryEpisode(Episode):
+    """Truth: the app's iteration time over the surviving processes.
 
-    Returns ``(allocations, warm)`` where ``warm`` carries the FPM
-    solve's warm state tagged with the survivor names it covers: the
-    *next* drop re-solves through :meth:`Solver.resolve` with only the
-    newly dropped indices, reusing the stacked batch representation.
-    Exact mode keeps every degraded partition bit-identical to the cold
-    re-solve it replaces.  The observed-speed strategy is model-free and
-    carries no state.
+    Policy: after a drop, the warm FPM re-solve (``"fpm"``) or the
+    observed-speed rebalancer (``"observed"``); nothing between drops.
     """
-    total = n * n
-    if policy.strategy == "fpm":
-        models = app.models_for(survivors)
-        names = tuple(u.name for u in survivors)
-        try:
-            if warm is not None:
-                prev_result, prev_names = warm
-                alive = set(names)
-                dropped_idx = [
-                    i for i, name in enumerate(prev_names) if name not in alive
-                ]
-                result = Solver().resolve(prev_result, dropped=dropped_idx)
-            else:
-                result = Solver().solve(models, float(total))
-        except ValueError as exc:
-            raise RecoveryError(
-                f"survivors cannot absorb the workload: {exc}"
-            ) from exc
-        continuous = list(result.allocations)
-        allocs = round_partition(models, continuous, total)
-        return refine_integer_partition(models, allocs), (result, names)
-    current = [plan.allocation_of(u.name) for u in survivors]
-    times = _observed_unit_times(survivors, processes, plan)
-    return (
-        SpeedBasedRebalancer().next_distribution(current, times, total),
-        None,
-    )
+
+    def __init__(self, app, n, drops, policy: RecoveryPolicy) -> None:
+        super().__init__(app, n, drops, policy)
+        self.processes = app.processes()
+        self.adopt()
+        self.fault_free_s = self.execution.total_time
+
+    def adopt(self) -> None:
+        from repro.app.execution import simulate_execution
+
+        ranks = {r for u in self.alive_units() for r in u.member_ranks}
+        self.execution = simulate_execution(
+            [p for p in self.processes if p.rank in ranks],
+            self.state.plan.partition,
+            self.state.comm,
+            self.app.node.block_size,
+        )
+
+    def panel_s(self, sim: EventSimulator) -> float:
+        return self.execution.iteration_time
+
+    def replan(self, survivors: list["ComputeUnit"]) -> "MatMulPlan":
+        if self.pricing.strategy == "fpm":
+            return super().replan(survivors)
+        plan = self.state.plan
+        allocs = SpeedBasedRebalancer().next_distribution(
+            [plan.allocation_of(u.name) for u in survivors],
+            _observed_unit_times(survivors, self.processes, plan),
+            self.n * self.n,
+        )
+        return self.app.plan_for_units(self.n, survivors, allocs)
 
 
 def run_with_recovery(
@@ -216,153 +175,37 @@ def run_with_recovery(
     or ``set_models`` first).
     """
     check_positive_int("n", n)
-    if isinstance(drops, FaultPlan):
-        drops = drops.device_drops()
-    drops = sorted(drops, key=lambda d: (d.time_s, d.device))
-
-    units = app.compute_units()
-    unit_names = tuple(u.name for u in units)
-    unknown = [d.device for d in drops if d.device not in unit_names]
-    if unknown:
-        raise ValueError(
-            f"dropped devices not on this node: {unknown} "
-            f"(units: {list(unit_names)})"
-        )
-    if len({d.device for d in drops}) != len(drops):
-        raise ValueError("each device can drop at most once")
-
-    from repro.app.execution import simulate_execution
-
-    baseline = app.plan(n)
-    processes = app.processes()
-    comm = SimulatedComm(app.binding.num_processes, app.comm_model)
-    block_size = app.node.block_size
-    baseline_exec = simulate_execution(
-        processes, baseline.partition, comm, block_size
-    )
-
-    state = {
-        "completed": 0,
-        "iteration_s": baseline_exec.iteration_time,
-        "plan": baseline,
-        "alive": set(unit_names),
-        "inflight": None,
-        "recovering": None,
-        "finish_s": None,
-        "applied": [],
-        "ignored": [],
-        "blocks_migrated": 0,
-        "migration_s": 0.0,
-        "degraded_panels": 0,
-        "warm": None,  # (SolveResult, survivor names) of the last FPM re-solve
-    }
-
-    def start_panel(sim: EventSimulator) -> None:
-        state["inflight"] = sim.schedule(state["iteration_s"], finish_panel)
-
-    def finish_panel(sim: EventSimulator) -> None:
-        state["inflight"] = None
-        state["completed"] += 1
-        if len(state["alive"]) < len(unit_names):
-            state["degraded_panels"] += 1
-        if state["completed"] < n:
-            start_panel(sim)
-        else:
-            state["finish_s"] = sim.now
-
-    def recovered(sim: EventSimulator) -> None:
-        state["recovering"] = None
-        start_panel(sim)
-
-    def make_drop(drop: DeviceDrop):
-        def on_drop(sim: EventSimulator) -> None:
-            if state["completed"] >= n:
-                state["ignored"].append(drop)
-                return
-            if state["inflight"] is not None:
-                state["inflight"].cancel()  # the panel is replayed degraded
-                state["inflight"] = None
-            if state["recovering"] is not None:
-                state["recovering"].cancel()  # re-solve with the new survivor set
-                state["recovering"] = None
-            state["alive"].discard(drop.device)
-            survivors = [u for u in units if u.name in state["alive"]]
-            if not survivors:
-                raise RecoveryError(
-                    f"no surviving compute units after dropping {drop.device!r}"
-                )
-            allocs, state["warm"] = _survivor_allocations(
-                app, state["plan"], survivors, n, policy, processes,
-                warm=state["warm"],
-            )
-            new_plan = app.plan_for_units(n, survivors, allocs)
-            survivor_ranks = [r for u in survivors for r in u.member_ranks]
-            shrunk = comm.shrink(len(survivor_ranks))
-            moved, replan_s = plan_switch_cost(
-                state["plan"].process_allocations,
-                new_plan.process_allocations,
-                shrunk,
-                policy,
-            )
-            degraded_exec = simulate_execution(
-                [p for p in processes if p.rank in survivor_ranks],
-                new_plan.partition,
-                shrunk,
-                block_size,
-            )
-            state["plan"] = new_plan
-            state["iteration_s"] = degraded_exec.iteration_time
-            state["blocks_migrated"] += moved
-            state["migration_s"] += replan_s
-            state["applied"].append(
-                DropEvent(
-                    device=drop.device,
-                    time_s=drop.time_s,
-                    panels_completed=state["completed"],
-                )
-            )
-            state["recovering"] = sim.schedule(replan_s, recovered)
-
-        return on_drop
-
+    episode = _RecoveryEpisode(app, n, drops, policy)
+    state = episode.state
     tracer = get_tracer()
     with tracer.span(
         "runtime.recovery",
         category="runtime",
         n=n,
-        drops=len(drops),
+        drops=len(episode.drops),
         strategy=policy.strategy,
     ) as span:
-        sim = EventSimulator()
-        start_panel(sim)
-        for drop in drops:
-            sim.schedule_at(drop.time_s, make_drop(drop))
-        sim.run()
+        episode.run()
         if tracer.enabled:
-            tracer.counter("recovery.drops").add(len(state["applied"]))
-            if state["blocks_migrated"]:
+            tracer.counter("recovery.drops").add(len(state.applied))
+            if state.blocks_migrated:
                 tracer.counter("recovery.blocks_migrated").add(
-                    state["blocks_migrated"]
+                    state.blocks_migrated
                 )
-            span.set_attr("panels_completed", state["completed"])
-            span.mark_sim(0.0, state["finish_s"])
+            span.set_attr("panels_completed", state.completed)
+            span.mark_sim(0.0, state.finish_s)
 
-    final_plan = state["plan"]
-    degraded = tuple(
-        final_plan.allocation_of(name) if name in {u.name for u in final_plan.units} else 0
-        for name in unit_names
-    )
     return RecoveryResult(
         n=n,
         strategy=policy.strategy,
-        fault_free_time_s=baseline_exec.total_time,
-        recovery_time_s=state["finish_s"],
-        drops=tuple(state["applied"]),
-        ignored_drops=tuple(state["ignored"]),
-        unit_names=unit_names,
-        baseline_unit_allocations=baseline.unit_allocations,
-        degraded_unit_allocations=degraded,
-        blocks_migrated=state["blocks_migrated"],
-        migration_time_s=state["migration_s"],
-        degraded_panels=state["degraded_panels"],
+        fault_free_time_s=episode.fault_free_s,
+        recovery_time_s=state.finish_s,
+        drops=tuple(state.applied),
+        ignored_drops=tuple(state.ignored),
+        unit_names=episode.unit_names,
+        baseline_unit_allocations=tuple(episode.baseline_allocations),
+        degraded_unit_allocations=episode.unit_allocations(),
+        blocks_migrated=state.blocks_migrated,
+        migration_time_s=state.switch_s,
+        degraded_panels=state.degraded_panels,
     )

@@ -87,6 +87,37 @@ class TestPlan:
             bare.plan(20, PartitioningStrategy.FPM)
 
 
+class TestRealise:
+    """Every plan is built by one realise step with one set of checks."""
+
+    def test_duplicate_unit_rejected_by_name(self, app):
+        unit = app.compute_units()[0]
+        with pytest.raises(ValueError, match=f"{unit.name!r} appears more"):
+            app.plan_for_units(40, [unit, unit], [800, 800])
+
+    @pytest.mark.parametrize(
+        "allocs, message",
+        [
+            ([1600, 0], "2 allocations for 6 units"),
+            ([300] * 5 + [99], "sum to 1599, expected 1600"),
+        ],
+    )
+    def test_allocations_checked(self, app, allocs, message):
+        with pytest.raises(ValueError, match=message):
+            app.plan_from_unit_allocations(40, allocs)
+
+    def test_unknown_unit_rejected(self, app, cpu_node):
+        stranger = HybridMatMul(cpu_node, seed=1).compute_units()[0]
+        with pytest.raises(ValueError, match="not on this node"):
+            app.plan_for_units(40, [stranger], [1600])
+
+    def test_all_three_entry_points_agree(self, app):
+        plan = app.plan(40)
+        units = app.compute_units()
+        assert app.plan_from_unit_allocations(40, list(plan.unit_allocations)) == plan
+        assert app.plan_for_units(40, units, list(plan.unit_allocations)) == plan
+
+
 class TestExecute:
     def test_fpm_beats_alternatives_at_scale(self, app):
         _, fpm = app.run(60, PartitioningStrategy.FPM)

@@ -2,8 +2,8 @@
 
 :class:`~repro.core.batch.BatchSpeedModels` builds its padded matrices
 with one NumPy pass per distinct sample count.  The oracle here is the
-straightforward build: each model's own row (:func:`_row_params`, the
-one-model case) copied into the padded matrices one model at a time.
+straightforward build: each model's own row (``row_params`` of
+``tests/oracles/batch.py``, the one-model case) copied into the padded matrices one model at a time.
 Every matrix must agree exactly — padding included — across mixed sample
 counts, bounded and unbounded models, and non-monotone models (whose
 irregular rows fall back to the scalar inverse in every kernel).
@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.batch import BatchSpeedModels, _row_params
+from repro.core.batch import BatchSpeedModels
 from repro.core.speed_function import SpeedFunction, SpeedSample
+
+from tests.oracles.batch import row_params, time_row_at
 
 pytestmark = pytest.mark.property
 
@@ -54,7 +56,7 @@ models = st.lists(raw_speed_function(), min_size=1, max_size=12)
 
 def _stacked_one_at_a_time(fns):
     """The reference build: per-model rows copied in one by one."""
-    rows = [_row_params(fn) for fn in fns]
+    rows = [row_params(fn) for fn in fns]
     p = len(fns)
     width = max(r[0].size for r in rows)
     pad = max(width, 2)
@@ -108,6 +110,28 @@ def test_one_pass_matrices_equal_per_model_stacking(fns):
     assert batch._irregular == tuple(
         i for i, fn in enumerate(fns) if fn._knot_times() is None
     )
+
+
+@given(models, st.data())
+def test_times_at_equals_the_scalar_time_kernel(fns, data):
+    """Element ``i`` of ``times_at`` is the one-model kernel, bit for bit.
+
+    Drift control prices its ideal panel times with ``times_at``; the
+    sizes include zero, knots and both sides of the sampled range.
+    """
+    batch = BatchSpeedModels(tuple(fns))
+    sizes = [
+        data.draw(
+            st.one_of(
+                st.just(0.0),
+                st.sampled_from(fn._sizes),
+                st.floats(min_value=1e-3, max_value=2000.0),
+            )
+        )
+        for fn in fns
+    ]
+    want = np.array([time_row_at(fn, x) for fn, x in zip(fns, sizes)])
+    assert batch.times_at(sizes).tobytes() == want.tobytes()
 
 
 @given(models, st.data())

@@ -4,7 +4,7 @@ Verbatim copy of the scalar lane (``engine="scalar"``) that
 :mod:`repro.runtime.panel_loop` offered beside its batched lane until
 v1.15.  It schedules one event per device per panel, and
 :func:`simulate_spmd_run` takes each device's compute time from
-:func:`repro.core.batch.time_row_at` and the pivot broadcast from
+:func:`tests.oracles.batch.time_row_at` and the pivot broadcast from
 :meth:`SimulatedComm.pivot_bcast_time` over a plain list.  The identity
 suites require the production loop to return equal results on every
 input.
@@ -17,13 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.batch import time_row_at
 from repro.core.fpm import as_speed_function
 from repro.platform.drift import DriftModel
 from repro.runtime.event_sim import EventSimulator
 from repro.runtime.mpi_sim import SimulatedComm
 from repro.runtime.panel_loop import PanelLoopResult
 from repro.util.units import DEFAULT_BLOCKING_FACTOR
+
+from tests.oracles.batch import time_row_at
 
 
 def _run_scalar(

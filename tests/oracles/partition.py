@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from repro.core.batch import _TINY_DENOM, _row_params, time_row_at
+from repro.core.batch import _TINY_DENOM
 from repro.core.partition import (
     FPM_MAX_ITERS,
     FPM_TOLERANCE,
@@ -27,6 +27,8 @@ from repro.core.partition import (
 from repro.core.speed_function import SpeedFunction
 from repro.util.validation import check_positive, check_positive_int
 
+from tests.oracles.batch import row_params, time_row_at
+
 
 def allocation_row_at(fn: SpeedFunction, finish_time: float) -> float:
     """Scalar twin of the batched allocation kernel (one model, one T).
@@ -34,7 +36,7 @@ def allocation_row_at(fn: SpeedFunction, finish_time: float) -> float:
     Must mirror :meth:`BatchSpeedModels.allocations_at` operation for
     operation — the bit-identity tests compare the two directly.
     """
-    sizes, _, knot_times, table, monotone = _row_params(fn)
+    sizes, _, knot_times, table, monotone = row_params(fn)
     if not monotone:
         cap = sizes[-1] if fn.bounded else math.inf
         return min(fn.max_size_within_time(finish_time), cap)
@@ -58,7 +60,7 @@ def partition_fpm_scalar(
     """Reference oracle for :func:`partition_fpm`: one model at a time.
 
     Runs the *same* Illinois driver with the one-model kernels
-    (:func:`allocation_row_at` / :func:`repro.core.batch.time_row_at`),
+    (:func:`allocation_row_at` / :func:`tests.oracles.batch.time_row_at`),
     so its result is bit-identical to the vectorized solver on every
     input — the property suite holds the two against each other.  It is
     deliberately trace-free: a plain readable statement of the

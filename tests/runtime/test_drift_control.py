@@ -129,9 +129,9 @@ class TestDriftController:
         outcomes = [ctl.observe(drifted) is not None for _ in range(6)]
         assert outcomes == [False] * 5 + [True]
 
-    def test_drop_unit_forgotten(self):
+    def test_recalibrating_to_survivors_forgets_a_dropped_unit(self):
         ctl = DriftController(self.EXPECTED)
-        ctl.drop_unit("gpu0")
+        ctl.recalibrate({"cpu0": self.EXPECTED["cpu0"]})
         assert ctl.units == ("cpu0",)
         assert ctl.observe({"cpu0": 0.25}) is None
 

@@ -3,19 +3,23 @@
 A drift decision builds each rescaled unit model once, re-solves on the
 warm batch (stacking only the replaced rows) and rounds and prices the
 new plan on that same batch.  A plan's ideal panel times are computed
-when the plan or the alive set changes, not on every panel.  These tests
-count the calls a per-panel or per-decision rebuild would make —
-:meth:`SpeedFunction.scaled`, rows stacked by ``_stack_rows`` and
-``time_row_at`` — so a change that brings one back fails here whatever
-the machine's speed.
+when the plan or the alive set changes, not on every panel, with one
+:meth:`BatchSpeedModels.times_at` call on the initial solve's rows.
+These tests count the calls a per-panel or per-decision rebuild would
+make — :meth:`SpeedFunction.scaled`, rows stacked by ``_stack_rows`` and
+the ideal-time ``times_at`` calls — so a change that brings one back
+fails here whatever the machine's speed.
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
 from repro.app.matmul import HybridMatMul
 from repro.core import batch as batch_module
+from repro.core.batch import BatchSpeedModels
 from repro.core.speed_function import SpeedFunction
 from repro.platform.drift import DriftModel
 from repro.platform.faults import DeviceDrop
@@ -85,10 +89,26 @@ def test_a_decision_rescales_and_stacks_only_the_changed_units(app, monkeypatch)
     assert stacked[0] == len(result.unit_names) + sum(changed)
 
 
+def _count_ideal_times(monkeypatch) -> list[int]:
+    """Count ``times_at`` calls made by drift control's ideal-time pricing."""
+    calls = [0]
+    original = BatchSpeedModels.times_at
+    adopt = drift_control._DriftEpisode.adopt.__code__
+
+    def counted(self, sizes):
+        if sys._getframe(1).f_code is adopt:
+            calls[0] += 1
+        return original(self, sizes)
+
+    monkeypatch.setattr(BatchSpeedModels, "times_at", counted)
+    return calls
+
+
 @pytest.mark.parametrize("drops", [(), (DeviceDrop(30.0, C870),)])
 def test_ideal_panel_times_are_computed_once_per_plan(app, monkeypatch, drops):
-    calls = _count(monkeypatch, drift_control, "time_row_at")
+    calls = _count_ideal_times(monkeypatch)
     result = _run(app, drops)
     plans = 1 + result.commits + len(result.drops)
     assert len(result.drops) == len(drops)
-    assert calls[0] <= len(result.unit_names) * (plans + 1)
+    # one batched call per plan: at the start, per commit and per drop
+    assert calls[0] == plans
