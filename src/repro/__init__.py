@@ -51,7 +51,7 @@ from repro.measurement.benchmark import HybridBenchmark
 from repro.measurement.fpm_builder import FpmBuilder, SizeGrid
 from repro.platform.presets import cpu_only_node, ig_icl_node
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "ComputeUnit",

@@ -68,14 +68,23 @@ class ComputeUnit:
 
 @dataclass(frozen=True)
 class MatMulPlan:
-    """A fully resolved run plan: allocations, geometry, and strategy."""
+    """A fully resolved run plan: allocations, geometry, and strategy.
+
+    The allocations are checked when the plan is built; the column
+    geometry is arranged on first read of :attr:`partition`, so a
+    re-plan whose consumers read only allocations never builds it.
+    """
 
     n: int
     strategy: PartitioningStrategy
     units: tuple[ComputeUnit, ...]
     unit_allocations: tuple[int, ...]
     process_allocations: tuple[int, ...]
-    partition: ColumnPartition
+
+    @cached_property
+    def partition(self) -> ColumnPartition:
+        """The process rectangles, arranged by the column-based geometry."""
+        return column_based_partition(self.process_allocations, self.n)
 
     @cached_property
     def _allocation_index(self) -> dict[str, int]:
@@ -300,9 +309,10 @@ class HybridMatMul:
         """The one place a :class:`MatMulPlan` is built.
 
         Checks that ``units`` are distinct units of this node with one
-        allocation each summing to ``n^2``, expands the unit allocations
-        to processes unless ``process_allocs`` is given, and arranges the
-        process rectangles with the column-based geometry.
+        whole, non-negative allocation each summing to ``n^2``, and
+        expands the unit allocations to processes unless
+        ``process_allocs`` is given.  The plan arranges the process
+        rectangles when its :attr:`~MatMulPlan.partition` is first read.
         """
         names = [u.name for u in units]
         for i, name in enumerate(names):
@@ -316,6 +326,12 @@ class HybridMatMul:
             raise ValueError(
                 f"{len(unit_allocs)} allocations for {len(units)} units"
             )
+        for name, alloc in zip(names, unit_allocs):
+            if not (alloc >= 0 and float(alloc).is_integer()):
+                raise ValueError(
+                    f"allocation of {name!r} must be a non-negative whole "
+                    f"number of blocks, got {alloc!r}"
+                )
         unit_allocs = [int(a) for a in unit_allocs]
         if sum(unit_allocs) != n * n:
             raise ValueError(
@@ -329,7 +345,6 @@ class HybridMatMul:
             units=tuple(units),
             unit_allocations=tuple(unit_allocs),
             process_allocations=tuple(process_allocs),
-            partition=column_based_partition(process_allocs, n),
         )
 
     # ------------------------------------------------------------ execute

@@ -221,6 +221,15 @@ class BatchSpeedModels:
         return self._caps
 
     # ----------------------------------------------------- incremental clone
+    def holds(self, fns) -> bool:
+        """True when every model of ``fns`` fits this batch's row padding.
+
+        :meth:`with_updates` stacks replacements that fit into the
+        parent's rows and rebuilds the whole batch otherwise.
+        """
+        width = self._table.shape[1] - 1
+        return all(len(fn._sizes) <= width for fn in fns)
+
     def with_updates(
         self, replacements=None, dropped=()
     ) -> "BatchSpeedModels":
@@ -269,8 +278,7 @@ class BatchSpeedModels:
         fns = list(self.fns)
         for i, fn in reps.items():
             fns[i] = fn
-        width = self._table.shape[1] - 1
-        if any(len(fn._sizes) > width for fn in reps.values()):
+        if not self.holds(reps.values()):
             for i in reversed(drop):
                 del fns[i]
             return batch_models(fns)

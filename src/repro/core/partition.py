@@ -374,9 +374,17 @@ def resolve_fpm(
             tracer.counter(f"partition.resolve.{mode}").add(1)
             if noop:
                 tracer.counter("partition.resolve.noop").add(1)
-            if reps or dropped:
+            if reps:
+                # the rows with_updates stacked: the replacements, or the
+                # whole batch when one outgrew the parent's padding
                 tracer.counter("partition.resolve.rows_rebuilt").add(
-                    len(reps or ()) + len(tuple(dropped))
+                    len(reps)
+                    if state.batch.holds(reps.values())
+                    else batch.count
+                )
+            if batch.count < state.batch.count:
+                tracer.counter("partition.resolve.rows_dropped").add(
+                    state.batch.count - batch.count
                 )
             tracer.histogram(
                 "partition.resolve.evaluations", _ITER_BUCKETS

@@ -12,9 +12,11 @@ real to detect and repartition against.
 Every stochastic draw comes from a named BLAKE2-derived RNG stream
 keyed by ``(seed, device, window)`` through :mod:`repro.platform.events`,
 so the same triple always yields the same multiplier regardless of query
-order; a single query (:meth:`DriftModel.speed_multiplier`) is a batch of
-one of :meth:`DriftModel.speed_multipliers`, so every simulation lane
-sees the same platform.
+order.  A model keeps each device's profile and ``(device, kind)`` stream
+key, so a query folds only the window.  A single query
+(:meth:`DriftModel.speed_multiplier`) is a batch of one of
+:meth:`DriftModel.speed_multipliers`, so every simulation lane sees the
+same platform.
 
 Drift specs are written in the clause grammar of
 :class:`repro.platform.events.Grammar`, shared with ``--faults``::
@@ -45,8 +47,15 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from repro.platform.events import Grammar, Kind, RuleTable, normals, uniforms
-from repro.util.rng import RngStream
+from repro.platform.events import (
+    Grammar,
+    Kind,
+    RuleTable,
+    keyed_normals,
+    keyed_uniforms,
+    keys_of,
+)
+from repro.util.rng import RngStream, fold_keys
 from repro.util.validation import check_finite, check_nonnegative, check_probability
 
 __all__ = [
@@ -217,6 +226,28 @@ class DriftModel:
         """The timing stretch of one device at ``t_s`` (1 / speed)."""
         return 1.0 / self.speed_multiplier(device, t_s)
 
+    def _device(self, name: str) -> tuple[DeviceDrift, np.ndarray | None]:
+        """The profile of device ``name`` and its burst and jitter stream keys.
+
+        Resolved once per device and kept on the instance: the profile
+        from the rule table and, for a stochastic profile, the keys of
+        ``(*rng.path, name, "burst")`` and ``(*rng.path, name,
+        "jitter")``.  ``dict.setdefault`` publishes each entry
+        atomically, and the memo lives in the instance dict, so it
+        pickles and deep-copies with the model.
+        """
+        memo = self.__dict__.setdefault("_devices", {})
+        entry = memo.get(name)
+        if entry is None:
+            drift = self.spec.for_device(name)
+            keys = (
+                keys_of(self.rng, (name,), ("burst", "jitter"))
+                if drift.stochastic
+                else None
+            )
+            entry = memo.setdefault(name, (drift, keys))
+        return entry
+
     def speed_multipliers(
         self, devices: Sequence[str], t_s: float
     ) -> np.ndarray:
@@ -226,35 +257,34 @@ class DriftModel:
         throttle envelope, times the burst factor of the burst window
         containing ``t_s``, times the jitter factor of its jitter window.
         Each draw comes from the stream ``(device, "burst" | "jitter",
-        f"w{window}")``, one keyed draw call per kind.
+        f"w{window}")``: the device's memoised key of ``(device, kind)``
+        folded by the window, one keyed draw call per kind.
         """
         check_nonnegative("t_s", t_s)
         names = [str(d) for d in devices]
-        values = np.ones(len(names))
         if self.inert:
-            return values
-        profiles = [self.spec.for_device(d) for d in names]
-        for i, drift in enumerate(profiles):
-            if not drift.inert:
-                values[i] = drift.throttle_envelope(t_s)
+            return np.ones(len(names))
+        entries = [self._device(name) for name in names]
+        profiles = [drift for drift, _ in entries]
+        # a profile without a throttle has envelope 1.0 at every instant
+        values = np.array([drift.throttle_envelope(t_s) for drift in profiles])
         burst = [i for i, d in enumerate(profiles) if d.burst_prob > 0.0]
         if burst:
-            leaves = [
-                (names[i], "burst", f"w{math.floor(t_s / profiles[i].burst_len_s)}")
-                for i in burst
-            ]
-            for i, draw in zip(burst, uniforms(self.rng, (), leaves)):
+            keys = fold_keys(
+                np.array([entries[i][1][0] for i in burst]),
+                [f"w{math.floor(t_s / profiles[i].burst_len_s)}" for i in burst],
+            )
+            for i, draw in zip(burst, keyed_uniforms(keys).tolist()):
                 if draw < profiles[i].burst_prob:
                     values[i] = values[i] * (1.0 / profiles[i].burst_factor)
         jitter = [i for i, d in enumerate(profiles) if d.jitter_sigma > 0.0]
         if jitter:
-            leaves = [
-                (names[i], "jitter", f"w{math.floor(t_s / profiles[i].jitter_window_s)}")
-                for i in jitter
-            ]
+            keys = fold_keys(
+                np.array([entries[i][1][1] for i in jitter]),
+                [f"w{math.floor(t_s / profiles[i].jitter_window_s)}" for i in jitter],
+            )
             sigmas = [profiles[i].jitter_sigma for i in jitter]
-            for i, log in zip(jitter, normals(self.rng, (), leaves, sigmas)):
-                values[i] = values[i] * float(np.exp(log))
+            values[jitter] = values[jitter] * np.exp(keyed_normals(keys, sigmas))
         return values
 
     def time_multipliers(

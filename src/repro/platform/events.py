@@ -9,7 +9,9 @@ module owns the three decisions they share:
   ``--drift`` (:class:`Grammar`, driven by a table of :class:`Kind`);
 * which rule applies to a device — exact name, then substring, then the
   ``*`` wildcard (:class:`RuleTable`);
-* where events draw randomness (:func:`uniforms`, :func:`normals`).
+* where events draw randomness (:func:`uniforms`, :func:`normals`, and
+  their keyed forms :func:`keyed_uniforms`, :func:`keyed_normals` for
+  callers that keep a stream's key and fold only what varies).
   Every draw comes from its own named counter-based stream ``(seed,
   *rng.path, *prefix, *leaf)`` (see :mod:`repro.util.rng`): one keyed
   draw covers a whole batch of streams and builds no numpy generator,
@@ -26,7 +28,17 @@ import numpy as np
 
 from repro.util.rng import RngStream, key_uniforms, stream_keys
 
-__all__ = ["Grammar", "Kind", "RuleTable", "integral", "normals", "uniforms"]
+__all__ = [
+    "Grammar",
+    "Kind",
+    "RuleTable",
+    "integral",
+    "keyed_normals",
+    "keyed_uniforms",
+    "keys_of",
+    "normals",
+    "uniforms",
+]
 
 P = TypeVar("P")
 
@@ -192,18 +204,50 @@ class RuleTable(Generic[P]):
 
 
 # ----------------------------------------------------------------- draws
+def keys_of(
+    rng: RngStream, prefix: Sequence[object], leaves: Sequence[object]
+) -> np.ndarray:
+    """The uint64 keys of the streams ``(*rng.path, *prefix, *leaf)``.
+
+    A tuple leaf spells several trailing names
+    (:func:`~repro.util.rng.stream_keys`).  A caller that queries the
+    same streams again and again may keep these keys, extend them by
+    the varying components with :func:`~repro.util.rng.fold_keys`, and
+    draw with :func:`keyed_uniforms` / :func:`keyed_normals`: the draws
+    equal :func:`uniforms` / :func:`normals` on the full paths.
+    """
+    return stream_keys(rng.seed, (*rng.path, *prefix), leaves)
+
+
+def keyed_uniforms(keys: np.ndarray) -> np.ndarray:
+    """One uniform ``[0, 1)`` draw per keyed stream: its slot 0."""
+    return key_uniforms(keys, 1)[0]
+
+
+def keyed_normals(keys: np.ndarray, sigma: float | Sequence[float]) -> np.ndarray:
+    """One ``N(0, sigma)`` draw per keyed stream (see :func:`normals`)."""
+    scale = np.asarray(sigma, dtype=np.float64)
+    if scale.ndim > 1 or (scale.ndim == 1 and scale.shape != (len(keys),)):
+        raise ValueError(
+            f"sigma must be a scalar or hold one value per leaf "
+            f"({len(keys)}), got shape {scale.shape}"
+        )
+    if not np.all((scale >= 0.0) & (scale < np.inf)):  # NaN fails both
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    u = key_uniforms(keys, 2)
+    return scale * (np.sqrt(-2.0 * np.log(1.0 - u[0])) * np.cos(_TWO_PI * u[1]))
+
+
 def uniforms(
     rng: RngStream, prefix: Sequence[object], leaves: Sequence[object]
 ) -> np.ndarray:
     """One uniform ``[0, 1)`` draw per stream ``(*rng.path, *prefix, *leaf)``.
 
     Entry ``i`` is slot 0 of the counter-based stream keyed by that path
-    (:func:`~repro.util.rng.stream_keys`); a tuple leaf spells several
-    trailing names.  Moving names between ``prefix`` and the leaves never
-    changes a draw.
+    (:func:`keys_of`); a tuple leaf spells several trailing names.
+    Moving names between ``prefix`` and the leaves never changes a draw.
     """
-    keys = stream_keys(rng.seed, (*rng.path, *prefix), leaves)
-    return key_uniforms(keys, 1)[0]
+    return keyed_uniforms(keys_of(rng, prefix, leaves))
 
 
 def normals(
@@ -220,13 +264,4 @@ def normals(
     a fixed number of uniforms per stream, so no stream's draw depends on
     another's.
     """
-    scale = np.asarray(sigma, dtype=np.float64)
-    if scale.ndim > 1 or (scale.ndim == 1 and scale.shape != (len(leaves),)):
-        raise ValueError(
-            f"sigma must be a scalar or hold one value per leaf "
-            f"({len(leaves)}), got shape {scale.shape}"
-        )
-    if not np.all((scale >= 0.0) & (scale < np.inf)):  # NaN fails both
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
-    u = key_uniforms(stream_keys(rng.seed, (*rng.path, *prefix), leaves), 2)
-    return scale * (np.sqrt(-2.0 * np.log(1.0 - u[0])) * np.cos(_TWO_PI * u[1]))
+    return keyed_normals(keys_of(rng, prefix, leaves), sigma)

@@ -2,9 +2,10 @@
 
 Processes live on one shared-memory NUMA node, so point-to-point transfers
 follow the classic Hockney model ``t = latency + nbytes / bandwidth``.
-Collectives are timed by simulating the binomial communication tree on the
-discrete-event engine — not by a closed-form log formula — so irregular
-message sizes and rooted subsets behave correctly.
+Collectives are timed round by round over their binomial communication
+trees, in closed form: a broadcast's completion is the per-hop time
+accumulated along the tree's deepest path, so a rooted subset of
+``participants`` ranks is priced by its own tree, not the communicator's.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.obs import get_tracer
-from repro.runtime.event_sim import EventSimulator
 from repro.util.units import blocks_to_bytes, blocks_to_bytes_batch
 from repro.util.validation import check_nonnegative, check_positive
 
@@ -71,64 +71,14 @@ class SimulatedComm:
     def bcast_time(self, nbytes: float, participants: int | None = None) -> float:
         """Completion time of a binomial-tree broadcast to ``participants``.
 
-        The root sends to progressively nearer ranks; each receiver
-        forwards in later rounds, all simulated on the event engine.
-        """
-        p = self.size if participants is None else participants
-        if p < 1 or p > self.size:
-            raise ValueError(
-                f"participants must be in [1, {self.size}], got {p}"
-            )
-        if p == 1 or nbytes == 0:
-            return 0.0
-        tracer = get_tracer()
-        span = tracer.span(
-            "mpi.bcast", category="runtime", nbytes=nbytes, participants=p
-        )
-        sim = EventSimulator()
-        per_hop = self.model.p2p_time(nbytes)
-        done = [math.inf] * p
-        done[0] = 0.0
-
-        def send(sim: EventSimulator, sender: int, receiver: int) -> None:
-            def deliver(sim2: EventSimulator) -> None:
-                done[receiver] = sim2.now
-                _fanout(sim2, receiver)
-
-            sim.schedule(per_hop, deliver)
-
-        def _fanout(sim: EventSimulator, rank: int) -> None:
-            # binomial tree: rank r sends to r + 2^k for increasing k
-            offset = 1
-            while rank + offset < p:
-                if rank % (2 * offset) == 0:
-                    send(sim, rank, rank + offset)
-                    offset *= 2
-                else:
-                    break
-
-        def kick(sim: EventSimulator) -> None:
-            _fanout(sim, 0)
-
-        sim.schedule(0.0, kick)
-        sim.run()
-        finish = max(t for t in done if math.isfinite(t))
-        span.mark_sim(0.0, finish)
-        span.finish()
-        return finish
-
-    def bcast_time_fast(
-        self, nbytes: float, participants: int | None = None
-    ) -> float:
-        """Closed-form twin of :meth:`bcast_time` — O(1), bit-identical.
-
-        In the simulated binomial tree, rank ``r`` receives the payload
-        after ``popcount(r)`` sequential hops (one per set bit of its
-        rank), so the broadcast completes when the deepest rank's per-hop
-        times have accumulated ``max_{r < p} popcount(r)`` times.  This
-        method performs exactly those float additions, skipping the
-        event-engine walk — the equivalence test holds the two against
-        each other across participant counts.
+        The root sends to every rank ``2^k`` at once, and rank ``r``
+        forwards to ``r + 2^k`` for each ``2^k`` below its lowest set bit
+        once the payload arrives, so rank ``r`` holds it after
+        ``popcount(r)`` sequential hops.  The broadcast completes when
+        the deepest rank below ``p`` has accumulated that many per-hop
+        times; this method performs exactly those float additions,
+        bit-identical to walking the tree on the event engine (the test
+        suite's oracle).
         """
         p = self.size if participants is None else participants
         if p < 1 or p > self.size:
@@ -143,7 +93,7 @@ class SimulatedComm:
         finish = 0.0
         for _ in range(depth):
             finish += per_hop
-        self._trace_collective("mpi.bcast", finish, nbytes)
+        self._trace_collective("mpi.bcast", finish, nbytes, p)
         return finish
 
     def gather_time(self, nbytes_per_rank: float) -> float:
@@ -165,8 +115,18 @@ class SimulatedComm:
         self._trace_collective("mpi.gather", total, nbytes_per_rank)
         return total
 
-    def _trace_collective(self, name: str, finish: float, nbytes: float) -> None:
-        """Record one closed-form collective as a completed runtime span."""
+    def _trace_collective(
+        self,
+        name: str,
+        finish: float,
+        nbytes: float,
+        participants: int | None = None,
+    ) -> None:
+        """Record one closed-form collective as a completed runtime span.
+
+        ``participants`` is the rank count the collective ran over
+        (default: the whole communicator).
+        """
         tracer = get_tracer()
         if tracer.enabled:
             tracer.record(
@@ -175,7 +135,7 @@ class SimulatedComm:
                 sim_start_s=0.0,
                 sim_end_s=finish,
                 nbytes=nbytes,
-                participants=self.size,
+                participants=self.size if participants is None else participants,
             )
 
     def pivot_bcast_time(
@@ -220,7 +180,7 @@ class SimulatedComm:
                 ),
                 default=0.0,
             )
-        self._trace_collective("mpi.pivot_bcast", finish, 0.0)
+        self._trace_collective("mpi.pivot_bcast", finish, 0.0, p)
         return finish
 
     def barrier_time(self) -> float:

@@ -12,7 +12,7 @@ Two kinds of draws hang off that tree:
   BLAKE2 digest of the stream's path (:func:`derive_seed`), for code
   that wants a whole sequence (data generation, load generators);
 * platform events draw one value per stream, many streams at a time,
-  through counter-based keys (:func:`stream_keys`,
+  through counter-based keys (:func:`stream_keys`, :func:`fold_keys`,
   :func:`key_uniforms`): no generator is built at all.
 
 A stream's key is a left fold ``k <- mix(k ^ blake2(name))`` from
@@ -94,13 +94,24 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _SHIFT_C)
 
 
+def fold_keys(keys: np.ndarray, names: Sequence[object]) -> np.ndarray:
+    """One fold step: extend stream ``i`` (key ``keys[i]``) by ``names[i]``.
+
+    Returns the uint64 keys of the child streams, ``mix(key ^
+    blake2(name))``; ``keys`` may also be one shared 0-d key.  Folding a
+    key that :func:`stream_keys` returned by one more component equals
+    asking :func:`stream_keys` for the longer path, bit for bit.
+    """
+    return _mix_array(
+        keys ^ np.fromiter(map(_component_key, map(str, names)), np.uint64, len(names))
+    )
+
+
 def _fold_leaves(key: int, parts: Sequence[tuple]) -> np.ndarray:
     """Fold leaves of ONE length onto the prefix key, a component at a time."""
     keys = np.array(key, dtype=np.uint64)
     for column in zip(*parts):
-        keys = _mix_array(
-            keys ^ np.fromiter(map(_component_key, map(str, column)), np.uint64, len(parts))
-        )
+        keys = fold_keys(keys, column)
     if keys.ndim == 0:  # every leaf is ``()``: the prefix stream itself
         keys = np.full(len(parts), key, dtype=np.uint64)
     return keys

@@ -334,9 +334,24 @@ class TestResolveMetrics:
         assert counters["partition.resolve.exact"].value == 3
         assert counters["partition.resolve.bracket"].value == 1
         assert counters["partition.resolve.noop"].value == 2
-        assert counters["partition.resolve.rows_rebuilt"].value == 3
+        # the replacement stacks one row; the drop-only update stacks none
+        assert counters["partition.resolve.rows_rebuilt"].value == 1
+        assert counters["partition.resolve.rows_dropped"].value == 2
         hist = tracer.metrics.histograms["partition.resolve.evaluations"]
         assert hist.count == 4
+
+    def test_wide_replacement_counts_the_whole_rebuilt_batch(self):
+        models = _models()
+        wide = _fn([(4.0, 3.0), (20.0, 5.0), (60.0, 6.0), (150.0, 5.5), (300.0, 4.0)])
+        tracer = Tracer()
+        with use_tracer(tracer):
+            _, state = partition_fpm_with_state(models, 200.0)
+            assert not state.batch.holds([wide])
+            _, after = resolve_fpm(state, replacements={0: wide}, dropped=[1])
+        counters = tracer.metrics.counters
+        # the fallback restacks every surviving model, not just the wide one
+        assert counters["partition.resolve.rows_rebuilt"].value == after.batch.count == 2
+        assert counters["partition.resolve.rows_dropped"].value == 1
 
     def test_resolve_span_emitted(self):
         tracer = Tracer()

@@ -1,7 +1,8 @@
 """Reference implementations kept as test fixtures.
 
 Each module here holds the straightforward, scalar version of a
-production routine that was later rewritten over NumPy arrays.  They are
-not part of the library: identity suites import them and require the
-production code to return equal results on every input.
+production routine that was later rewritten over NumPy arrays or in
+closed form.  They are not part of the library: identity suites import
+them and require the production code to return equal results on every
+input.
 """

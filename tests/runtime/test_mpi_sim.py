@@ -3,8 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.obs import Tracer, use_tracer
 from repro.runtime.mpi_sim import CommModel, SimulatedComm
+from tests.oracles import mpi as oracle
 
 
 class TestCommModel:
@@ -51,6 +55,53 @@ class TestBroadcast:
     def test_monotone_in_size(self):
         comm = SimulatedComm(8)
         assert comm.bcast_time(2e6) > comm.bcast_time(1e6)
+
+    def test_zero_bytes_free(self):
+        assert SimulatedComm(8).bcast_time(0) == 0.0
+
+    @given(
+        latency_s=st.floats(0.0, 1e-3),
+        bandwidth_gbs=st.floats(1e-3, 100.0),
+        nbytes=st.one_of(st.just(0.0), st.floats(1.0, 1e9)),
+        size=st.integers(1, 256),
+        data=st.data(),
+    )
+    def test_matches_the_event_tree_oracle(
+        self, latency_s, bandwidth_gbs, nbytes, size, data
+    ):
+        comm = SimulatedComm(size, CommModel(latency_s, bandwidth_gbs))
+        p = data.draw(st.integers(1, size), label="participants")
+        assert comm.bcast_time(nbytes, p) == oracle.bcast_time(comm, nbytes, p)
+        assert comm.bcast_time(nbytes) == oracle.bcast_time(comm, nbytes)
+
+
+class TestCollectiveTrace:
+    """A traced collective names the ranks it actually ran over."""
+
+    @staticmethod
+    def _traced(call):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            call()
+        (span,) = tracer.roots
+        return span
+
+    def test_bcast_records_its_participants(self):
+        comm = SimulatedComm(16)
+        span = self._traced(lambda: comm.bcast_time(1e6, participants=5))
+        assert span.name == "mpi.bcast"
+        assert span.attrs["participants"] == 5
+        assert span.sim_end_s == comm.bcast_time(1e6, participants=5)
+
+    def test_pivot_bcast_records_its_participants(self):
+        comm = SimulatedComm(16)
+        span = self._traced(lambda: comm.pivot_bcast_time([4.0, 9.0], 640, 3))
+        assert span.name == "mpi.pivot_bcast"
+        assert span.attrs["participants"] == 3
+
+    def test_whole_communicator_by_default(self):
+        span = self._traced(lambda: SimulatedComm(6).bcast_time(1e6))
+        assert span.attrs["participants"] == 6
 
 
 class TestScatterAllgatherReduce:
@@ -129,22 +180,7 @@ class TestGatherAndBarrier:
 
 
 class TestFastCollectives:
-    """Closed-form / vectorised twins of the event-simulated collectives."""
-
-    def test_bcast_fast_bit_identical_to_event_tree(self):
-        comm = SimulatedComm(64, CommModel(latency_s=3e-6, bandwidth_gbs=1.7))
-        for p in range(1, 65):
-            assert comm.bcast_time_fast(123_456, p) == comm.bcast_time(
-                123_456, p
-            ), f"divergence at p={p}"
-
-    def test_bcast_fast_zero_bytes_free(self):
-        assert SimulatedComm(8).bcast_time_fast(0) == 0.0
-
-    def test_bcast_fast_rejects_bad_participants(self):
-        comm = SimulatedComm(4)
-        with pytest.raises(ValueError):
-            comm.bcast_time_fast(100, 5)
+    """The pivot broadcast's array lane against its iterable form."""
 
     def test_pivot_bcast_array_matches_scalar(self):
         import numpy as np
