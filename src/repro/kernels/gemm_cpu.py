@@ -71,7 +71,7 @@ class CpuGemmKernel:
         """Ideal seconds at each area of a batch (the sweep fast path)."""
         del busy_cpu_cores
         areas = as_area_array(area_blocks)
-        return self.socket.kernel_time_batch(
+        return self.socket.kernel_time(
             areas, self.active_cores, self.gpu_active
         )
 
@@ -122,7 +122,7 @@ class CpuCoreGemmKernel:
         """Ideal seconds at each per-core area of a batch."""
         del busy_cpu_cores
         areas = as_area_array(area_blocks)
-        return self.socket.core(0).kernel_time_batch(
+        return self.socket.core(0).kernel_time(
             areas, self.active_cores, self.gpu_active
         )
 

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from repro.util.validation import check_nonnegative, check_positive, check_positive_int
 
@@ -75,6 +77,27 @@ class TilingPlan:
     @property
     def area_blocks(self) -> float:
         return self.rows * self.cols / (self.block_size * self.block_size)
+
+    @cached_property
+    def tile_area_blocks(self) -> np.ndarray:
+        """Each tile's area in b x b blocks, in schedule order."""
+        elements = np.array([t.elements for t in self.tiles], dtype=np.float64)
+        return elements / (self.block_size * self.block_size)
+
+    @cached_property
+    def aligned_mask(self) -> np.ndarray:
+        """Which tiles have alignment-friendly dimensions."""
+        return np.array([t.aligned for t in self.tiles])
+
+    @cached_property
+    def upload_mask(self) -> np.ndarray:
+        """Which tiles' rectangles are sent to the device each run."""
+        return np.array([t.upload_needed for t in self.tiles])
+
+    @cached_property
+    def download_mask(self) -> np.ndarray:
+        """Which tiles' rectangles are fetched back each run."""
+        return np.array([t.download_needed for t in self.tiles])
 
     @property
     def uploads(self) -> tuple[Tile, ...]:

@@ -187,7 +187,7 @@ class GpuStencilKernel:
             # pitched pageable transfers (footprint scaled to the device's
             # staging capacity as for the GEMM kernels)
             excess_bytes = excess_rows[streamed] * self.width * CELL_BYTES
-            bw = self.gpu.pcie.pitched_bandwidth_gbs_batch(
+            bw = self.gpu.pcie.pitched_bandwidth_gbs(
                 areas[streamed]
                 / self.resident_capacity_rows
                 * self.gpu.pcie.staging_blocks

@@ -33,12 +33,8 @@ from repro.platform.memory import (
 )
 from repro.platform.pcie import PcieLink
 from repro.platform.spec import GpuSpec, NodeSpec, SocketSpec
-from repro.util.units import gemm_kernel_flops, gemm_kernel_flops_batch
-from repro.util.validation import (
-    check_nonnegative,
-    check_positive,
-    check_positive_int,
-)
+from repro.util.units import gemm_kernel_flops
+from repro.util.validation import check_positive, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -60,30 +56,13 @@ class SimulatedCore:
 
     def rate_gflops(
         self,
-        per_core_area_blocks: float,
+        per_core_area_blocks,
         active_cores: int = 1,
         gpu_active: bool = False,
-    ) -> float:
-        """Effective GEMM rate of this core under the given sharing state."""
-        check_nonnegative("per_core_area_blocks", per_core_area_blocks)
+    ):
+        """Effective GEMM rate of this core at each (validated) per-core
+        area, under the given sharing state."""
         solo = self.cache.core_rate_gflops(per_core_area_blocks)
-        return (
-            solo
-            * blocking_factor_efficiency(
-                self.block_size, self.socket.cpu.gemm_halfpoint_elems
-            )
-            * self.contention.efficiency(active_cores)
-            * self.interference.cpu_speed_factor(gpu_active)
-        )
-
-    def rate_gflops_batch(
-        self,
-        per_core_area_blocks: np.ndarray,
-        active_cores: int = 1,
-        gpu_active: bool = False,
-    ) -> np.ndarray:
-        """:meth:`rate_gflops` over an array of (pre-validated) areas."""
-        solo = self.cache.core_rate_gflops_batch(per_core_area_blocks)
         return (
             solo
             * blocking_factor_efficiency(
@@ -95,31 +74,15 @@ class SimulatedCore:
 
     def kernel_time(
         self,
-        per_core_area_blocks: float,
+        per_core_area_blocks,
         active_cores: int = 1,
         gpu_active: bool = False,
-    ) -> float:
-        """Seconds for ONE kernel run (``C_i += A_(b) x B_(b)``) on this core."""
-        if per_core_area_blocks == 0:
-            return 0.0
-        flops = gemm_kernel_flops(per_core_area_blocks, self.block_size)
-        rate = self.rate_gflops(per_core_area_blocks, active_cores, gpu_active)
-        return flops / (rate * 1e9)
-
-    def kernel_time_batch(
-        self,
-        per_core_area_blocks: np.ndarray,
-        active_cores: int = 1,
-        gpu_active: bool = False,
-    ) -> np.ndarray:
-        """:meth:`kernel_time` over an array of per-core areas.
-
-        Element-identical to the scalar method (a zero area divides 0 flops
-        by a positive rate, which is exactly the scalar early-out's 0.0).
-        """
+    ):
+        """Seconds for ONE kernel run (``C_i += A_(b) x B_(b)``) on this
+        core, at each per-core area (a zero area takes 0.0 s)."""
         areas = np.asarray(per_core_area_blocks, dtype=np.float64)
-        flops = gemm_kernel_flops_batch(areas, self.block_size)
-        rates = self.rate_gflops_batch(areas, active_cores, gpu_active)
+        flops = gemm_kernel_flops(areas, self.block_size)
+        rates = self.rate_gflops(areas, active_cores, gpu_active)
         return flops / (rates * 1e9)
 
 
@@ -150,11 +113,11 @@ class SimulatedSocket:
 
     def kernel_time(
         self,
-        socket_area_blocks: float,
+        socket_area_blocks,
         active_cores: int | None = None,
         gpu_active: bool = False,
-    ) -> float:
-        """Seconds for one kernel run with the socket area split evenly.
+    ):
+        """Seconds for one kernel run at each socket area, split evenly.
 
         All active cores run identical shares in lockstep, so the group
         finishes when each core's run finishes.
@@ -166,37 +129,8 @@ class SimulatedSocket:
                 f"{cores} active cores requested but {self.name} has "
                 f"{self.spec.cores}"
             )
-        per_core = socket_area_blocks / cores
-        return self.core(0).kernel_time(per_core, cores, gpu_active)
-
-    def kernel_time_batch(
-        self,
-        socket_area_blocks: np.ndarray,
-        active_cores: int | None = None,
-        gpu_active: bool = False,
-    ) -> np.ndarray:
-        """:meth:`kernel_time` over an array of socket areas."""
-        cores = self.spec.cores if active_cores is None else active_cores
-        check_positive_int("active_cores", cores)
-        if cores > self.spec.cores:
-            raise ValueError(
-                f"{cores} active cores requested but {self.name} has "
-                f"{self.spec.cores}"
-            )
         per_core = np.asarray(socket_area_blocks, dtype=np.float64) / cores
-        return self.core(0).kernel_time_batch(per_core, cores, gpu_active)
-
-    def speed_gflops(
-        self,
-        socket_area_blocks: float,
-        active_cores: int | None = None,
-        gpu_active: bool = False,
-    ) -> float:
-        """Aggregate socket speed ``s_c(x)`` at area ``x`` (paper Fig. 2)."""
-        if socket_area_blocks == 0:
-            return 0.0
-        t = self.kernel_time(socket_area_blocks, active_cores, gpu_active)
-        return gemm_kernel_flops(socket_area_blocks, self.block_size) / t / 1e9
+        return self.core(0).kernel_time(per_core, cores, gpu_active)
 
 
 @dataclass(frozen=True)
@@ -219,116 +153,81 @@ class SimulatedGpu:
 
     def kernel_rate_gflops(
         self,
-        tile_area_blocks: float,
-        aligned: bool = True,
+        tile_area_blocks,
+        aligned=True,
         aspect: float = 1.0,
-    ) -> float:
-        """On-device GEMM rate for one tile (saturating with tile size).
+    ):
+        """On-device GEMM rate at each tile area (saturating with tile size).
 
-        ``aspect`` is the tile's rows/cols ratio: nearly square tiles run
-        at full rate (the paper's Section IV assumption), extreme strips
-        pay a small quadratic-in-log penalty.
+        ``aligned`` is a bool or a per-tile mask: misaligned tiles pay the
+        CUBLAS shape penalty.  ``aspect`` is the tiles' rows/cols ratio:
+        nearly square tiles run at full rate (the paper's Section IV
+        assumption), extreme strips pay a small quadratic-in-log penalty.
+        Areas are validated (>= 0) by the calling kernel; a zero area gets
+        the vacuous peak rate.
         """
-        check_nonnegative("tile_area_blocks", tile_area_blocks)
         check_positive("aspect", aspect)
-        if tile_area_blocks == 0:
-            return self.spec.peak_gflops  # vacuous; no work
-        rate = (
-            self.spec.peak_gflops
-            * tile_area_blocks
-            / (tile_area_blocks + self.spec.rate_half_blocks)
-        )
-        rate *= blocking_factor_efficiency(
+        areas = np.asarray(tile_area_blocks, dtype=np.float64)
+        rates = self.spec.peak_gflops * areas / (areas + self.spec.rate_half_blocks)
+        rates = rates * blocking_factor_efficiency(
             self.block_size, self.spec.gemm_halfpoint_elems
         )
         if aspect != 1.0 and self.spec.aspect_penalty > 0.0:
-            rate /= 1.0 + self.spec.aspect_penalty * math.log2(aspect) ** 2
-        if not aligned:
-            rate /= self.spec.misalignment_penalty
-        return rate
+            rates = rates / (1.0 + self.spec.aspect_penalty * math.log2(aspect) ** 2)
+        rates = np.where(aligned, rates, rates / self.spec.misalignment_penalty)
+        return np.where(areas == 0.0, self.spec.peak_gflops, rates)
 
     def compute_time(
         self,
-        tile_area_blocks: float,
-        aligned: bool = True,
+        tile_area_blocks,
+        aligned=True,
         busy_cpu_cores: int = 0,
-    ) -> float:
-        """Seconds of on-device GEMM for one tile of ``C``.
+    ):
+        """Seconds of on-device GEMM for each tile of ``C``.
 
         ``busy_cpu_cores`` — CPU kernels running on the host socket slow the
         combined GPU process down (paper Fig. 5b); the slowdown is applied
         uniformly to the GPU's contributions.
         """
-        if tile_area_blocks == 0:
-            return 0.0
-        flops = gemm_kernel_flops(tile_area_blocks, self.block_size)
-        rate = self.kernel_rate_gflops(tile_area_blocks, aligned)
-        rate *= self.interference.gpu_speed_factor(busy_cpu_cores, self.socket_cores)
-        return flops / (rate * 1e9)
-
-    def compute_time_batch(
-        self,
-        tile_area_blocks: np.ndarray,
-        aligned: bool = True,
-        busy_cpu_cores: int = 0,
-    ) -> np.ndarray:
-        """:meth:`compute_time` over an array of (near-square) tile areas.
-
-        Element-identical to the scalar method; used by the GPU kernels'
-        ``run_time_batch`` for the device-resident size range.
-        """
         areas = np.asarray(tile_area_blocks, dtype=np.float64)
-        flops = gemm_kernel_flops_batch(areas, self.block_size)
-        rates = self.spec.peak_gflops * areas / (areas + self.spec.rate_half_blocks)
-        rates = rates * blocking_factor_efficiency(
-            self.block_size, self.spec.gemm_halfpoint_elems
-        )
-        if not aligned:
-            rates = rates / self.spec.misalignment_penalty
+        flops = gemm_kernel_flops(areas, self.block_size)
+        rates = self.kernel_rate_gflops(areas, aligned)
         rates = rates * self.interference.gpu_speed_factor(
             busy_cpu_cores, self.socket_cores
         )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            times = flops / (rates * 1e9)
-        return np.where(areas == 0.0, 0.0, times)
+        return flops / (rates * 1e9)
 
-    def upload_pivots_time_batch(
-        self, area_blocks: np.ndarray, busy_cpu_cores: int = 0
-    ) -> np.ndarray:
-        """:meth:`upload_pivots_time` over an array of areas."""
-        blocks = self.memory.pivot_blocks_batch(area_blocks)
-        nbytes = blocks * self.memory.block_bytes
-        times = self.pcie.contiguous_time_batch(nbytes)
+    def upload_pivots_time(self, area_blocks, busy_cpu_cores: int = 0):
+        """Seconds to send the pivot column and row pieces for each area."""
+        nbytes = self.memory.pivot_blocks(area_blocks) * self.memory.block_bytes
+        times = self.pcie.contiguous_time(nbytes)
         return times / self.interference.gpu_speed_factor(
             busy_cpu_cores, self.socket_cores
         )
 
-    def upload_pivots_time(self, area_blocks: float, busy_cpu_cores: int = 0) -> float:
-        """Seconds to send the pivot column and row pieces for area ``x``."""
-        blocks = self.memory.pivot_blocks(area_blocks)
-        nbytes = blocks * self.memory.block_bytes
-        t = self.pcie.contiguous_time(nbytes)
-        return t / self.interference.gpu_speed_factor(busy_cpu_cores, self.socket_cores)
-
     def transfer_c_time(
         self,
-        tile_area_blocks: float,
+        tile_area_blocks,
         footprint_blocks: float,
         busy_cpu_cores: int = 0,
-        kernel_active: bool = False,
-    ) -> float:
-        """Seconds for a one-way pitched transfer of a C rectangle.
+        kernel_active=False,
+    ):
+        """Seconds for a one-way pitched transfer of each C rectangle.
 
         ``footprint_blocks`` is the area of the whole host submatrix being
-        walked (drives the staging bandwidth decay); ``kernel_active``
-        applies the concurrent-copy slowdown for overlapped schedules.
+        walked (drives the staging bandwidth decay, so one kernel run's
+        rectangles share one bandwidth); ``kernel_active`` applies the
+        concurrent-copy slowdown for overlapped schedules, and as a boolean
+        array it broadcasts against the tiles (``[[False], [True]]`` prices
+        the idle and the overlapped copies of a run in one call).
         """
-        if tile_area_blocks == 0:
-            return 0.0
-        nbytes = tile_area_blocks * self.memory.block_bytes
-        t = self.pcie.pitched_time(nbytes, footprint_blocks)
-        t /= self.pcie.concurrent_copy_factor(kernel_active)
-        return t / self.interference.gpu_speed_factor(busy_cpu_cores, self.socket_cores)
+        areas = np.asarray(tile_area_blocks, dtype=np.float64)
+        nbytes = areas * self.memory.block_bytes
+        times = self.pcie.pitched_time(nbytes, footprint_blocks)
+        times = times / self.pcie.concurrent_copy_factor(kernel_active)
+        return times / self.interference.gpu_speed_factor(
+            busy_cpu_cores, self.socket_cores
+        )
 
 
 def build_devices(

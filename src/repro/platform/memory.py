@@ -53,19 +53,11 @@ class CoreCacheModel:
 
     cpu: CpuSpec
 
-    def efficiency(self, per_core_area_blocks: float) -> float:
-        """Multiplier in (0, 1] applied to the core's peak rate."""
-        check_nonnegative("per_core_area_blocks", per_core_area_blocks)
-        a = per_core_area_blocks
-        ramp = 1.0 - self.cpu.ramp_depth * math.exp(-a / self.cpu.ramp_blocks)
-        over = max(0.0, a - self.cpu.mem_pressure_blocks)
-        droop = 1.0 / (1.0 + self.cpu.mem_pressure_slope * over)
-        return ramp * droop
+    def efficiency(self, per_core_area_blocks):
+        """Multiplier in (0, 1] applied to the core's peak rate, per area.
 
-    def efficiency_batch(self, per_core_area_blocks: np.ndarray) -> np.ndarray:
-        """:meth:`efficiency` over an array of areas, element-identical.
-
-        Areas are assumed pre-validated (>= 0) by the calling kernel.
+        Takes a number or an array of areas, validated (>= 0) by the
+        calling kernel.
         """
         a = np.asarray(per_core_area_blocks, dtype=np.float64)
         ramp = 1.0 - self.cpu.ramp_depth * np.exp(-a / self.cpu.ramp_blocks)
@@ -73,13 +65,9 @@ class CoreCacheModel:
         droop = 1.0 / (1.0 + self.cpu.mem_pressure_slope * over)
         return ramp * droop
 
-    def core_rate_gflops(self, per_core_area_blocks: float) -> float:
-        """Solo-core GEMM rate at the given per-core problem area."""
+    def core_rate_gflops(self, per_core_area_blocks):
+        """Solo-core GEMM rate at each per-core problem area."""
         return self.cpu.peak_gflops * self.efficiency(per_core_area_blocks)
-
-    def core_rate_gflops_batch(self, per_core_area_blocks: np.ndarray) -> np.ndarray:
-        """:meth:`core_rate_gflops` over an array of areas."""
-        return self.cpu.peak_gflops * self.efficiency_batch(per_core_area_blocks)
 
 
 @dataclass(frozen=True)
@@ -102,18 +90,14 @@ class GpuMemoryModel:
         """Usable device memory expressed in b x b blocks."""
         return self.gpu.usable_memory_mb * 1024.0 * 1024.0 / self.block_bytes
 
-    def pivot_blocks(self, area_blocks: float) -> float:
-        """Blocks needed by the pivot column and row pieces for area ``x``.
+    def pivot_blocks(self, area_blocks):
+        """Blocks needed by the pivot column and row pieces for each area ``x``.
 
         A near-square submatrix of area ``x`` has sides ``~sqrt(x)`` blocks,
         so the pivot column piece ``A_(b)`` holds ``sqrt(x)`` blocks and the
-        pivot row piece ``B_(b)`` holds ``sqrt(x)`` blocks.
+        pivot row piece ``B_(b)`` holds ``sqrt(x)`` blocks.  Areas are
+        validated (>= 0) by the calling kernel.
         """
-        check_nonnegative("area_blocks", area_blocks)
-        return 2.0 * math.sqrt(area_blocks)
-
-    def pivot_blocks_batch(self, area_blocks: np.ndarray) -> np.ndarray:
-        """:meth:`pivot_blocks` over an array of (pre-validated) areas."""
         return 2.0 * np.sqrt(np.asarray(area_blocks, dtype=np.float64))
 
     def resident_capacity_blocks(self) -> float:

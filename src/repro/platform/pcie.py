@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.platform.spec import GpuSpec
-from repro.util.validation import check_nonnegative, check_positive
+from repro.util.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -33,51 +33,47 @@ class PcieLink:
     def __post_init__(self) -> None:
         check_positive("staging_blocks", self.staging_blocks)
 
-    def contiguous_time(self, nbytes: float) -> float:
-        """Seconds to move ``nbytes`` of contiguous (pinned) data one way."""
-        check_nonnegative("nbytes", nbytes)
-        if nbytes == 0:
-            return 0.0
-        return self.gpu.pcie_latency_s + nbytes / (self.gpu.pcie_contig_gbs * 1e9)
+    def contiguous_time(self, nbytes):
+        """Seconds to move ``nbytes`` of contiguous (pinned) data one way.
 
-    def contiguous_time_batch(self, nbytes: np.ndarray) -> np.ndarray:
-        """:meth:`contiguous_time` over an array of (pre-validated) sizes."""
+        Takes a number or an array of sizes, validated (>= 0) by the
+        caller; a zero-byte copy is free.
+        """
         nb = np.asarray(nbytes, dtype=np.float64)
         times = self.gpu.pcie_latency_s + nb / (self.gpu.pcie_contig_gbs * 1e9)
         return np.where(nb == 0.0, 0.0, times)
 
-    def pitched_bandwidth_gbs(self, footprint_blocks: float) -> float:
-        """Effective GB/s of pitched C-rectangle copies.
+    def pitched_bandwidth_gbs(self, footprint_blocks):
+        """Effective GB/s of pitched C-rectangle copies, per footprint.
 
-        ``footprint_blocks`` is the area of the full host submatrix being
-        walked during the kernel run (not the size of one transfer call).
-        Within the staging area: pinned speed.  Past it: pageable fallback
-        with a mild footprint-dependent decay.
+        ``footprint_blocks`` (a number or an array) is the area of the full
+        host submatrix being walked during the kernel run (not the size of
+        one transfer call).  Within the staging area: pinned speed.  Past
+        it: pageable fallback with a mild footprint-dependent decay.
         """
-        check_nonnegative("footprint_blocks", footprint_blocks)
-        if footprint_blocks <= self.staging_blocks:
-            return self.gpu.pcie_pitched_pinned_gbs
-        ratio = footprint_blocks / self.staging_blocks
-        return self.gpu.pcie_pageable_gbs / (ratio ** self.gpu.pageable_decay_power)
-
-    def pitched_bandwidth_gbs_batch(self, footprint_blocks: np.ndarray) -> np.ndarray:
-        """:meth:`pitched_bandwidth_gbs` over an array of footprints."""
         fp = np.asarray(footprint_blocks, dtype=np.float64)
-        ratio = fp / self.staging_blocks
-        with np.errstate(divide="ignore"):
-            pageable = self.gpu.pcie_pageable_gbs / ratio**self.gpu.pageable_decay_power
+        # footprints within staging take the pinned branch below; clamping
+        # them keeps the unused pageable branch free of a division by zero
+        ratio = np.maximum(fp, self.staging_blocks) / self.staging_blocks
+        pageable = self.gpu.pcie_pageable_gbs / ratio**self.gpu.pageable_decay_power
         return np.where(
             fp <= self.staging_blocks, self.gpu.pcie_pitched_pinned_gbs, pageable
         )
 
-    def pitched_time(self, nbytes: float, footprint_blocks: float) -> float:
-        """Seconds to move ``nbytes`` of a pitched rectangle one way."""
-        check_nonnegative("nbytes", nbytes)
-        if nbytes == 0:
-            return 0.0
-        bw = self.pitched_bandwidth_gbs(footprint_blocks)
-        return self.gpu.pcie_latency_s + nbytes / (bw * 1e9)
+    def pitched_time(self, nbytes, footprint_blocks):
+        """Seconds to move ``nbytes`` of a pitched rectangle one way.
 
-    def concurrent_copy_factor(self, kernel_active: bool) -> float:
-        """Bandwidth multiplier while a kernel occupies the memory controller."""
-        return self.gpu.concurrent_copy_slowdown if kernel_active else 1.0
+        ``nbytes`` may be an array of rectangles of one kernel run, all
+        priced at the bandwidth of the run's ``footprint_blocks``.
+        """
+        nb = np.asarray(nbytes, dtype=np.float64)
+        bw = self.pitched_bandwidth_gbs(footprint_blocks)
+        times = self.gpu.pcie_latency_s + nb / (bw * 1e9)
+        return np.where(nb == 0.0, 0.0, times)
+
+    def concurrent_copy_factor(self, kernel_active):
+        """Bandwidth multiplier while a kernel occupies the memory controller.
+
+        ``kernel_active`` is a bool or a boolean array.
+        """
+        return np.where(kernel_active, self.gpu.concurrent_copy_slowdown, 1.0)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
 from repro.obs import get_tracer
-from repro.util.units import blocks_to_bytes, blocks_to_bytes_batch
+from repro.util.units import blocks_to_bytes
 from repro.util.validation import check_nonnegative, check_positive
 
 
@@ -140,7 +140,7 @@ class SimulatedComm:
 
     def pivot_bcast_time(
         self,
-        recv_blocks: Iterable[float],
+        recv_blocks: "Sequence[float] | np.ndarray",
         block_size: int,
         participants: int | None = None,
     ) -> float:
@@ -149,36 +149,22 @@ class SimulatedComm:
         Every process receives its pivot block-column and block-row pieces
         (``recv_blocks`` entries, in b x b blocks); with a tree
         distribution the completion time is dominated by the largest
-        per-process payload plus the tree's latency depth.
-
-        Passing a NumPy array evaluates the formula over the whole device
-        array in one vectorised expression (bit-identical to the scalar
-        generator, which iterables keep exercising as the oracle) — the
-        per-panel path of cluster-scale simulations.
+        per-process payload plus the tree's latency depth.  The payloads
+        are priced in one vectorised expression (the per-panel path of
+        cluster-scale simulations); a negative or non-finite entry raises
+        ValueError.
         """
         p = self.size if participants is None else participants
         depth = math.ceil(math.log2(p)) if p > 1 else 0
-        if isinstance(recv_blocks, np.ndarray):
-            blocks = np.asarray(recv_blocks, dtype=float)
-            if blocks.size == 0:
-                finish = 0.0
-            else:
-                finish = float(
-                    np.max(
-                        self.model.latency_s * depth
-                        + blocks_to_bytes_batch(blocks, block_size)
-                        / (self.model.bandwidth_gbs * 1e9)
-                    )
-                )
-        else:
-            finish = max(
-                (
+        blocks = np.asarray(recv_blocks, dtype=np.float64)
+        finish = 0.0
+        if blocks.size:
+            finish = float(
+                np.max(
                     self.model.latency_s * depth
                     + blocks_to_bytes(blocks, block_size)
                     / (self.model.bandwidth_gbs * 1e9)
-                    for blocks in recv_blocks
-                ),
-                default=0.0,
+                )
             )
         self._trace_collective("mpi.pivot_bcast", finish, 0.0, p)
         return finish

@@ -11,6 +11,8 @@ import dataclasses
 import pytest
 
 from repro.app.matmul import HybridMatMul, PartitioningStrategy
+from repro.kernels.gemm_cpu import CpuGemmKernel
+from repro.kernels.interface import kernel_speed_gflops
 from repro.measurement.binding import default_binding
 from repro.platform.device import build_devices
 from repro.platform.presets import opteron_8439se, tesla_c870
@@ -91,8 +93,8 @@ class TestDevicesAndBinding:
 
     def test_slow_socket_really_slower(self, mixed_node):
         sockets, _ = build_devices(mixed_node)
-        fast = sockets[1].speed_gflops(400, 6)
-        slow = sockets[2].speed_gflops(400, 4)
+        fast = kernel_speed_gflops(CpuGemmKernel(sockets[1], 6), 400)
+        slow = kernel_speed_gflops(CpuGemmKernel(sockets[2], 4), 400)
         assert slow < fast / 2
 
 

@@ -1,19 +1,29 @@
-"""Reference broadcast: the binomial tree walked on the event engine.
+"""Reference collectives of :class:`~repro.runtime.mpi_sim.SimulatedComm`.
 
-The event-driven form that :meth:`SimulatedComm.bcast_time` replaced with
-its closed form.  The root sends to progressively nearer ranks, each
-receiver forwards in later rounds, and every hop is one scheduled event
-on a fresh :class:`~repro.runtime.event_sim.EventSimulator`; the
-broadcast completes at the last delivery.  The identity suite requires
-the production closed form to equal this bit for bit.
+:func:`bcast_time` is the event-driven form that
+:meth:`SimulatedComm.bcast_time` replaced with its closed form.  The root
+sends to progressively nearer ranks, each receiver forwards in later
+rounds, and every hop is one scheduled event on a fresh
+:class:`~repro.runtime.event_sim.EventSimulator`; the broadcast completes
+at the last delivery.
+
+:func:`pivot_bcast_time` is the per-process generator form that
+:meth:`SimulatedComm.pivot_bcast_time` kept for non-array inputs beside
+its array expression up to v1.17.0: one scalar payload price per
+process, then the maximum.
+
+The identity suites require the production forms to equal these bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 from repro.runtime.event_sim import EventSimulator
 from repro.runtime.mpi_sim import SimulatedComm
+from repro.util.units import blocks_to_bytes
 
 
 def bcast_time(
@@ -50,3 +60,23 @@ def bcast_time(
     sim.schedule(0.0, lambda sim: fanout(sim, 0))
     sim.run()
     return max(t for t in done if math.isfinite(t))
+
+
+def pivot_bcast_time(
+    comm: SimulatedComm,
+    recv_blocks: Iterable[float],
+    block_size: int,
+    participants: int | None = None,
+) -> float:
+    """Completion time of one pivot distribution, priced process by process."""
+    p = comm.size if participants is None else participants
+    depth = math.ceil(math.log2(p)) if p > 1 else 0
+    return max(
+        (
+            comm.model.latency_s * depth
+            + blocks_to_bytes(float(blocks), block_size)
+            / (comm.model.bandwidth_gbs * 1e9)
+            for blocks in recv_blocks
+        ),
+        default=0.0,
+    )

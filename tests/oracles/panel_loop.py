@@ -5,7 +5,7 @@ Verbatim copy of the scalar lane (``engine="scalar"``) that
 v1.15.  It schedules one event per device per panel, and
 :func:`simulate_spmd_run` takes each device's compute time from
 :func:`tests.oracles.batch.time_row_at` and the pivot broadcast from
-:meth:`SimulatedComm.pivot_bcast_time` over a plain list.  The identity
+:func:`tests.oracles.mpi.pivot_bcast_time` over a plain list.  The identity
 suites require the production loop to return equal results on every
 input.
 """
@@ -25,6 +25,7 @@ from repro.runtime.panel_loop import PanelLoopResult
 from repro.util.units import DEFAULT_BLOCKING_FACTOR
 
 from tests.oracles.batch import time_row_at
+from tests.oracles.mpi import pivot_bcast_time
 
 
 def _run_scalar(
@@ -129,7 +130,7 @@ def simulate_spmd_run(
             if recv_blocks is not None
             else [2.0 * math.sqrt(float(a)) for a in alloc]
         )
-        comm_s = comm.pivot_bcast_time(recv, block_size)
+        comm_s = pivot_bcast_time(comm, recv, block_size)
     return simulate_panel_loop(
         compute,
         panels,

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +37,14 @@ class TestCoreCacheModel:
     @settings(max_examples=50)
     def test_efficiency_always_positive(self, area):
         assert self.model.efficiency(area) > 0.0
+
+    def test_takes_arrays(self):
+        areas = np.array([0.0, 1.0, 50.0, 400.0, 10000.0])
+        effs = self.model.efficiency(areas)
+        assert effs.tolist() == [float(self.model.efficiency(a)) for a in areas]
+        assert np.array_equal(
+            self.model.core_rate_gflops(areas), opteron_8439se().peak_gflops * effs
+        )
 
 
 class TestGpuMemoryModel:
@@ -84,6 +93,11 @@ class TestGpuMemoryModel:
     def test_pivot_blocks_scale_with_sqrt(self):
         m = GpuMemoryModel(geforce_gtx680(), 640)
         assert m.pivot_blocks(400) == pytest.approx(2 * 20.0)
+        assert m.pivot_blocks(np.array([0.0, 100.0, 400.0])).tolist() == [
+            0.0,
+            20.0,
+            40.0,
+        ]
 
     def test_rejects_bad_buffer_count(self):
         m = GpuMemoryModel(geforce_gtx680(), 640)

@@ -1,5 +1,6 @@
 """Unit tests for the PCIe link model."""
 
+import numpy as np
 import pytest
 
 from repro.platform.memory import GpuMemoryModel
@@ -24,6 +25,12 @@ class TestContiguous:
 
     def test_monotone_in_bytes(self, link):
         assert link.contiguous_time(2e6) > link.contiguous_time(1e6)
+
+    def test_takes_arrays(self, link):
+        sizes = np.array([0.0, 1e6, 6.4e9])
+        times = link.contiguous_time(sizes)
+        assert times.tolist() == [float(link.contiguous_time(n)) for n in sizes]
+        assert times[0] == 0.0
 
 
 class TestPitched:
@@ -51,6 +58,22 @@ class TestPitched:
     def test_zero_bytes_free(self, link):
         assert link.pitched_time(0, 100) == 0.0
 
+    def test_bandwidth_takes_arrays(self, link):
+        footprints = link.staging_blocks * np.array([0.5, 1.0, 1.01, 3.0])
+        bws = link.pitched_bandwidth_gbs(footprints)
+        assert bws.tolist() == [float(link.pitched_bandwidth_gbs(f)) for f in footprints]
+
+    def test_one_run_shares_one_bandwidth(self, link):
+        """A run's rectangles are priced at the run's footprint bandwidth."""
+        footprint = link.staging_blocks * 2.0
+        sizes = np.array([0.0, 1e7, 3e8])
+        bw = float(link.pitched_bandwidth_gbs(footprint))
+        times = link.pitched_time(sizes, footprint)
+        assert times[0] == 0.0
+        assert times[1:].tolist() == [
+            link.gpu.pcie_latency_s + n / (bw * 1e9) for n in sizes[1:]
+        ]
+
 
 class TestConcurrentCopy:
     def test_idle_kernel_full_speed(self, link):
@@ -59,3 +82,7 @@ class TestConcurrentCopy:
     def test_active_kernel_slows_copies(self, link):
         assert link.concurrent_copy_factor(True) == link.gpu.concurrent_copy_slowdown
         assert link.concurrent_copy_factor(True) <= 1.0
+
+    def test_factor_takes_a_mask(self, link):
+        factors = link.concurrent_copy_factor(np.array([False, True]))
+        assert factors.tolist() == [1.0, link.gpu.concurrent_copy_slowdown]

@@ -180,16 +180,29 @@ class TestGatherAndBarrier:
 
 
 class TestFastCollectives:
-    """The pivot broadcast's array lane against its iterable form."""
+    """The pivot broadcast's array expression against the per-process oracle."""
 
-    def test_pivot_bcast_array_matches_scalar(self):
+    @given(
+        st.lists(st.floats(0.0, 1e5), max_size=24),
+        st.integers(1, 16),
+    )
+    def test_pivot_bcast_matches_oracle(self, blocks, participants):
         import numpy as np
 
         comm = SimulatedComm(16)
-        blocks = [3.0, 41.5, 7.25, 0.0, 19.0]
-        scalar = comm.pivot_bcast_time(blocks, 640)
-        vector = comm.pivot_bcast_time(np.array(blocks), 640)
-        assert vector == scalar
+        want = oracle.pivot_bcast_time(comm, blocks, 640, participants)
+        assert comm.pivot_bcast_time(np.array(blocks), 640, participants) == want
+        assert comm.pivot_bcast_time(blocks, 640, participants) == want
+
+    @pytest.mark.parametrize("bad", [-4.0, math.nan, math.inf])
+    def test_pivot_bcast_rejects_bad_payloads(self, bad):
+        """Negative or non-finite payloads raise, as arrays and as lists."""
+        import numpy as np
+
+        comm = SimulatedComm(4)
+        for recv in (np.array([1.0, bad]), [1.0, bad]):
+            with pytest.raises(ValueError, match="area_blocks"):
+                comm.pivot_bcast_time(recv, 640)
 
     def test_pivot_bcast_empty_array(self):
         import numpy as np

@@ -1,5 +1,8 @@
 """Unit tests for workload unit conversions."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.util.units import (
@@ -31,6 +34,23 @@ class TestBlocks:
     def test_rejects_negative_area(self):
         with pytest.raises(ValueError):
             blocks_to_elements(-1, 640)
+
+    def test_arrays_convert_element_wise(self):
+        areas = np.array([0.0, 0.5, 7.0, 1234.5])
+        assert blocks_to_bytes(areas, 640).tolist() == [
+            blocks_to_bytes(float(a), 640) for a in areas
+        ]
+        assert gemm_kernel_flops(areas, 640).tolist() == [
+            gemm_kernel_flops(float(a), 640) for a in areas
+        ]
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_areas_in_arrays(self, bad):
+        for convert in (blocks_to_elements, blocks_to_bytes, gemm_kernel_flops):
+            with pytest.raises(ValueError, match="area_blocks"):
+                convert(np.array([2.0, bad]), 640)
+            with pytest.raises(ValueError, match="area_blocks"):
+                convert(bad, 640)
 
 
 class TestFlops:
