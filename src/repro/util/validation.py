@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 
 def check_finite(name: str, value: float) -> float:
     """Return ``value`` if it is a finite number (not NaN or +/-inf)."""
@@ -33,6 +35,17 @@ def check_nonnegative(name: str, value: float) -> float:
     if not math.isfinite(value) or value < 0:
         raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
     return value
+
+
+def check_nonnegative_values(name: str, values):
+    """Return ``values`` if it is a finite number >= 0 or an array of them."""
+    if not isinstance(values, np.ndarray):
+        return check_nonnegative(name, values)
+    # NaN propagates into min(); +inf shows in max(), -inf in min()
+    if values.size and not (values.min() >= 0.0 and values.max() < math.inf):
+        bad = values[~(np.isfinite(values) & (values >= 0.0))].flat[0]
+        raise ValueError(f"{name} must be finite non-negative numbers, got {float(bad)}")
+    return values
 
 
 def check_probability(name: str, value: float) -> float:

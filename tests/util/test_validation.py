@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.util.validation import (
@@ -9,6 +10,7 @@ from repro.util.validation import (
     check_in,
     check_nonnegative,
     check_nonnegative_int,
+    check_nonnegative_values,
     check_open_probability,
     check_positive,
     check_positive_int,
@@ -65,6 +67,22 @@ class TestCheckNonnegative:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             check_nonnegative("x", -1e-9)
+
+
+class TestCheckNonnegativeValues:
+    def test_accepts_a_number_or_an_array(self):
+        values = np.array([0.0, 2.5, 1e300])
+        assert check_nonnegative_values("x", 2.5) == 2.5
+        assert check_nonnegative_values("x", values) is values
+        assert check_nonnegative_values("x", np.array([])).size == 0
+
+    @pytest.mark.parametrize("bad", [-1e-9, math.nan, math.inf, -math.inf])
+    def test_names_the_first_bad_entry(self, bad):
+        message = f"x must be finite non-negative numbers, got {bad}"
+        with pytest.raises(ValueError, match=message):
+            check_nonnegative_values("x", np.array([1.0, bad, -5.0]))
+        with pytest.raises(ValueError, match="x must be a finite non-negative number"):
+            check_nonnegative_values("x", bad)
 
 
 class TestCheckProbability:
