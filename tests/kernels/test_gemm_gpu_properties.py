@@ -3,7 +3,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kernels.gemm_gpu import gpu_kernel
@@ -47,6 +47,22 @@ def gpu_specs(draw):
     )
 
 
+#: A spec the strategy draws on which v2's two-resident tiling loses to
+#: v1's at area 406 (capacity ~284 blocks).
+_SLOW_SMALL_GPU = dataclasses.replace(
+    geforce_gtx680(),
+    memory_mb=512.0,
+    reserved_mb=16.0,
+    peak_gflops=50.0,
+    rate_half_blocks=20.0,
+    pcie_contig_gbs=1.0,
+    pcie_pitched_pinned_gbs=5.0,
+    pcie_pageable_gbs=5.0,
+    dma_engines=1,
+    concurrent_copy_slowdown=1.0,
+)
+
+
 def make_gpu(spec):
     return SimulatedGpu(
         name="prop",
@@ -59,6 +75,7 @@ def make_gpu(spec):
 
 class TestGpuKernelProperties:
     @given(spec=gpu_specs(), area=st.floats(min_value=1.0, max_value=6000.0))
+    @example(spec=_SLOW_SMALL_GPU, area=406.0)
     @settings(max_examples=60, deadline=None)
     def test_v3_never_slower_than_v2(self, spec, area):
         gpu = make_gpu(spec)
@@ -67,19 +84,20 @@ class TestGpuKernelProperties:
         assert v3.run_time(area) <= v2.run_time(area) * (1 + 1e-9)
 
     @given(spec=gpu_specs(), area=st.floats(min_value=1.0, max_value=6000.0))
+    @example(spec=_SLOW_SMALL_GPU, area=406.0)
     @settings(max_examples=60, deadline=None)
     def test_v1_never_significantly_faster_than_v2(self, spec, area):
-        """v2 dominates v1 up to a small granularity effect.
+        """v2 dominates v1 up to rounding.
 
-        v2's double-buffer sizing halves its out-of-core tiles; on degenerate
-        specs where compute dominates transfers entirely, the smaller tiles'
-        rate loss can exceed the transfer savings by a few percent — a real
-        granularity trade-off, so the property allows that sliver.
+        v2's two resident tiles halve its out-of-core tiles; on a slow
+        device whose rate still climbs at that size (the pinned example:
+        v1's two strips beat v2's four by 5.3%) v2 falls back to v1's
+        tiling instead of losing to it.
         """
         gpu = make_gpu(spec)
         assert gpu_kernel(gpu, 1).run_time(area) >= gpu_kernel(gpu, 2).run_time(
             area
-        ) * 0.95
+        ) * (1 - 1e-9)
 
     @given(spec=gpu_specs())
     @settings(max_examples=40, deadline=None)
