@@ -22,15 +22,15 @@ and apply the closed form elementwise.
 Bit-identity contract
 ---------------------
 Every kernel here has a one-model form that performs the *same*
-floating-point operations in the *same* order; none of them runs in
-production.  The time kernel's ``time_row_at`` and the one-model row
-build ``row_params`` live in ``tests/oracles/batch.py``, the allocation
-kernel's ``allocation_row_at`` with the scalar reference partitioner in
-``tests/oracles/partition.py``.  The oracles walk models with the
-one-model forms; the vectorised partitioner uses the matrix kernels —
-and the two are **bit-identical** on every input, which the property
-suite enforces.  A formula change here must update the oracles too, or
-the identity tests will fail.
+floating-point operations in the *same* order.  The time kernel's is
+:meth:`SpeedFunction.time` itself.  The others run only in tests: the
+one-model row build ``row_params`` lives in ``tests/oracles/batch.py``,
+the allocation kernel's ``allocation_row_at`` with the scalar reference
+partitioner in ``tests/oracles/partition.py``.  The oracles walk models
+with the one-model forms; the vectorised partitioner uses the matrix
+kernels — and the two are **bit-identical** on every input, which the
+property suite enforces.  A formula change here must update the oracles
+too, or the identity tests will fail.
 
 Models whose knot times are not non-decreasing (no monotone time
 function, so no well-defined closed-form inverse) fall back to
@@ -42,7 +42,6 @@ monotone before partitioning, so this path is cold.
 from __future__ import annotations
 
 import weakref
-from itertools import chain
 
 import numpy as np
 
@@ -120,7 +119,7 @@ def _stack_rows(fns, out, at) -> None:
     knot_times, sizes, speeds, table, nseg, caps, monotone = out
     groups: dict[int, tuple[list[int], list[SpeedFunction]]] = {}
     for row, fn in zip(at, fns):
-        rows, members = groups.setdefault(len(fn._sizes), ([], []))
+        rows, members = groups.setdefault(fn.sizes.size, ([], []))
         rows.append(row)
         members.append(fn)
     for m, (rows, members) in groups.items():
@@ -129,12 +128,8 @@ def _stack_rows(fns, out, at) -> None:
         # through a slice; fancy-index writes cost several times more
         contiguous = rows[-1] - rows[0] == g - 1
         idx = slice(rows[0], rows[-1] + 1) if contiguous else np.asarray(rows)
-        xs = np.fromiter(
-            chain.from_iterable(fn._sizes for fn in members), float, g * m
-        ).reshape(g, m)
-        ss = np.fromiter(
-            chain.from_iterable(fn._speeds for fn in members), float, g * m
-        ).reshape(g, m)
+        xs = np.concatenate([fn.sizes for fn in members]).reshape(g, m)
+        ss = np.concatenate([fn.speeds for fn in members]).reshape(g, m)
         bounded = np.fromiter((fn.bounded for fn in members), bool, g)
         kt = xs / ss
         cap = np.where(bounded, xs[:, -1], np.inf)
@@ -192,7 +187,7 @@ class BatchSpeedModels:
     def __init__(self, fns: tuple[SpeedFunction, ...]):
         if not fns:
             raise ValueError("need at least one speed function")
-        out = _padded(len(fns), max(len(fn._sizes) for fn in fns))
+        out = _padded(len(fns), max(fn.sizes.size for fn in fns))
         _stack_rows(fns, out, range(len(fns)))
         self._assign(fns, out)
 
@@ -228,7 +223,7 @@ class BatchSpeedModels:
         parent's rows and rebuilds the whole batch otherwise.
         """
         width = self._table.shape[1] - 1
-        return all(len(fn._sizes) <= width for fn in fns)
+        return all(fn.sizes.size <= width for fn in fns)
 
     def with_updates(
         self, replacements=None, dropped=()
@@ -360,59 +355,35 @@ class BatchSpeedModels:
                 x[g, i] = min(fn.max_size_within_time(float(t)), cap)
         return x
 
-    def total_allocation(self, finish_time: float) -> float:
-        """Summed :meth:`allocations_at` via the canonical reduction."""
-        return asum(self.allocations_at(finish_time))
-
-    def times_at(self, sizes) -> np.ndarray:
-        """Per-model execution time at per-model sizes (the bracket seed).
-
-        Element ``i`` is the one-model time kernel on model ``i`` (the
-        ``time_row_at`` oracle in ``tests/oracles/batch.py``) bit for bit.
-        """
-        xs = np.asarray(sizes, dtype=float)
-        counts = (self._sizes < xs[:, None]).sum(axis=1)
-        ki = np.clip(counts, 1, np.maximum(self._nseg - 1, 1))
-        x0 = self._sizes[self._rows, ki - 1]
-        x1 = self._sizes[self._rows, ki]
-        s0 = self._speeds[self._rows, ki - 1]
-        s1 = self._speeds[self._rows, ki]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = s0 + ((xs - x0) / (x1 - x0)) * (s1 - s0)
-        s = np.where(counts == 0, self._s_first, s)
-        s = np.where(counts >= self._nseg, self._s_last, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = xs / s
-        return np.where(xs > 0.0, t, 0.0)
-
-    def model_times(self, sizes, rows=None) -> np.ndarray:
+    def times_at(self, sizes, rows=None) -> np.ndarray:
         """:meth:`SpeedFunction.time` of many (model, size) pairs at once.
 
-        Element ``k`` is ``fns[rows[k]].time(sizes[k])`` bit for bit
-        (``rows`` defaults to every model in order): the segment is
-        chosen the way :meth:`SpeedFunction.speed` chooses it — head at
-        or below the first sample, tail at or above the last, otherwise
-        the segment ``bisect_right`` finds — and interpolated with the
-        same operations.  That differs from :meth:`times_at`, whose
-        count-below choice can land on the neighbouring segment at a knot
-        and so differ by an ulp.  Sizes must be non-negative and, for
-        bounded models, within range; neither is checked.
+        Element ``k`` is ``fns[rows[k]].time(sizes[k])`` bit for bit;
+        without ``rows``, element ``i`` is model ``i``'s time at
+        ``sizes[i]``.  The segment is chosen the way
+        :meth:`SpeedFunction.speed` chooses it — head at or below the
+        first sample, tail at or above the last, otherwise the segment
+        ``bisect_right`` finds — and interpolated with the same
+        operations.  Sizes must be non-negative and, for bounded models,
+        within range; neither is checked.
         """
         xs = np.asarray(sizes, dtype=float)
-        r = self._rows if rows is None else rows
-        knots = self._sizes[r]
+        # every model in order reads the matrices as they are; named rows
+        # gather theirs
+        r, at = (self._rows, slice(None)) if rows is None else (rows, rows)
+        knots = self._sizes[at]
         # interior segment: samples <= x (bisect_right; the +inf padding
         # never counts), clamped so head and tail still index real columns
         ki = np.minimum(
             np.maximum((knots <= xs[:, None]).sum(axis=1), 1),
-            np.maximum(self._nseg[r] - 1, 1),
+            np.maximum(self._nseg[at] - 1, 1),
         )
         x0 = self._sizes[r, ki - 1]
         s0 = self._speeds[r, ki - 1]
         # sizes strictly increase and speeds are positive: no 0/0 here
         s = s0 + ((xs - x0) / (self._sizes[r, ki] - x0)) * (self._speeds[r, ki] - s0)
-        s = np.where(xs >= self._x_last[r], self._s_last[r], s)
-        s = np.where(xs <= knots[:, 0], self._s_first[r], s)
+        s = np.where(xs >= self._x_last[at], self._s_last[at], s)
+        s = np.where(xs <= knots[:, 0], self._s_first[at], s)
         return np.where(xs == 0.0, 0.0, xs / s)
 
 

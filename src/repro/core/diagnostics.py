@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.fpm import FunctionalPerformanceModel, as_speed_function
 from repro.core.speed_function import SpeedFunction
 
@@ -79,12 +81,8 @@ def _local_log_slope(fn: SpeedFunction, x: float) -> float:
 def _nearest_precision(model, x: float) -> float:
     if not isinstance(model, FunctionalPerformanceModel):
         return math.nan
-    best, dist = math.nan, math.inf
-    for sample in model.speed_function.samples:
-        d = abs(sample.size - x)
-        if d < dist:
-            best, dist = sample.rel_precision, d
-    return best
+    fn = model.speed_function
+    return float(fn.rel_precision[np.argmin(np.abs(fn.sizes - x))])
 
 
 def diagnose_partition(models, allocations) -> PartitionDiagnostics:

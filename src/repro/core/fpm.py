@@ -56,14 +56,6 @@ class FunctionalPerformanceModel:
         """Relative execution time ``x / s(x)`` at a problem size."""
         return self.speed_function.time(size)
 
-    def speed_batch(self, sizes):
-        """Vectorised :meth:`speed` over an array of sizes (numpy)."""
-        return self.speed_function.speed_batch(sizes)
-
-    def time_batch(self, sizes):
-        """Vectorised :meth:`time` over an array of sizes (numpy)."""
-        return self.speed_function.time_batch(sizes)
-
     def max_size_within_time(self, budget: float) -> float:
         """Inverse time function (see SpeedFunction)."""
         return self.speed_function.max_size_within_time(budget)

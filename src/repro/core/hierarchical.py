@@ -42,7 +42,7 @@ from repro.core.partition import (
     partition_fpm_with_state,
 )
 from repro.core.batch import BatchSpeedModels, batch_models
-from repro.core.speed_function import SpeedFunction, SpeedSample
+from repro.core.speed_function import SpeedFunction
 from repro.obs import get_tracer
 from repro.util.validation import check_positive, check_positive_int
 
@@ -54,7 +54,9 @@ def _signature(fns: list[SpeedFunction]) -> tuple:
     equal solutions for equal shares, so both the aggregation and the
     fan-out deduplicate on this key.
     """
-    return tuple((fn._sizes, fn._speeds, fn.bounded) for fn in fns)
+    return tuple(
+        (fn.sizes.tobytes(), fn.speeds.tobytes(), fn.bounded) for fn in fns
+    )
 
 
 def aggregate_speed_function(
@@ -102,13 +104,12 @@ def aggregate_speed_function(
         rows = partition_fpm_many(
             fns, grid, tolerance=tolerance, max_iters=max_iters
         )
-        samples = []
+        speeds = []
         for x, allocs in zip(grid, rows):
             times = batch.times_at(allocs)
-            finish = float(max(t for t, a in zip(times, allocs) if a > 0))
-            samples.append(SpeedSample(size=x, speed=x / finish))
-        span.set_attr("samples", len(samples))
-        return SpeedFunction(samples, bounded=capacity != float("inf"))
+            speeds.append(x / float(max(t for t, a in zip(times, allocs) if a > 0)))
+        span.set_attr("samples", len(speeds))
+        return SpeedFunction.from_points(grid, speeds, bounded=capacity != float("inf"))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ did not come from a balanced continuous solution.
 
 The one-block-at-a-time hand-out is a heap of next-block times.
 :func:`heap_pops` replays such a heap in bulk over NumPy arrays, pop for
-pop, and :meth:`BatchSpeedModels.model_times` evaluates the block times
+pop, and :meth:`BatchSpeedModels.times_at` evaluates the block times
 of every processor in one call, so rounding 10 000 processors costs a
 few dozen array operations rather than a Python loop per block.
 """
@@ -152,7 +152,7 @@ def round_partition(models, continuous: list[float], total: int) -> list[int]:
             [-remaining],
             one_heap,
             alloc,
-            lambda j, lv: -batch.model_times(alloc[j] - lv + 1, j),
+            lambda j, lv: -batch.times_at(alloc[j] - lv + 1, j),
         )
         alloc = alloc - trimmed
     elif remaining:
@@ -165,7 +165,7 @@ def round_partition(models, continuous: list[float], total: int) -> list[int]:
             [remaining],
             one_heap,
             room,
-            lambda j, lv: batch.model_times(alloc[j] + lv, j),
+            lambda j, lv: batch.times_at(alloc[j] + lv, j),
         )
         alloc = alloc + gifts
     return alloc.tolist()

@@ -67,16 +67,6 @@ def _capacity(fn: SpeedFunction) -> float:
     return fn.max_size if fn.bounded else math.inf
 
 
-def _allocations_at(fns: list[SpeedFunction], finish_time: float) -> list[float]:
-    """Each processor's largest workload finishing within ``finish_time``."""
-    allocs = []
-    for fn in fns:
-        cap = _capacity(fn)
-        x = fn.max_size_within_time(finish_time)
-        allocs.append(min(x, cap))
-    return allocs
-
-
 def _check_capacity(caps, total: float) -> None:
     """Shared infeasibility check; ``asum`` so the oracle compares alike."""
     cap_sum = asum(caps)

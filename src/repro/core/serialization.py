@@ -13,13 +13,14 @@ from pathlib import Path
 
 from repro.core.cpm import ConstantPerformanceModel
 from repro.core.fpm import FunctionalPerformanceModel
-from repro.core.speed_function import SpeedFunction, SpeedSample
+from repro.core.speed_function import SpeedFunction
 
 _FORMAT_VERSION = 1
 
 
 def fpm_to_dict(model: FunctionalPerformanceModel) -> dict:
     """JSON-ready representation of an FPM."""
+    fn = model.speed_function
     return {
         "format": _FORMAT_VERSION,
         "type": "fpm",
@@ -27,18 +28,16 @@ def fpm_to_dict(model: FunctionalPerformanceModel) -> dict:
         "kernel": model.kernel_name,
         "block_size": model.block_size,
         "repetitions_total": model.repetitions_total,
-        "bounded": model.speed_function.bounded,
+        "bounded": fn.bounded,
         "samples": [
             {
-                "size": s.size,
-                "speed": s.speed,
-                **(
-                    {"rel_precision": s.rel_precision}
-                    if not math.isnan(s.rel_precision)
-                    else {}
-                ),
+                "size": x,
+                "speed": s,
+                **({"rel_precision": r} if not math.isnan(r) else {}),
             }
-            for s in model.speed_function.samples
+            for x, s, r in zip(
+                fn.sizes.tolist(), fn.speeds.tolist(), fn.rel_precision.tolist()
+            )
         ],
     }
 
@@ -52,17 +51,16 @@ def fpm_from_dict(data: dict) -> FunctionalPerformanceModel:
             f"unsupported model format {data.get('format')!r}; "
             f"this library reads version {_FORMAT_VERSION}"
         )
-    samples = [
-        SpeedSample(
-            size=float(s["size"]),
-            speed=float(s["speed"]),
-            rel_precision=float(s.get("rel_precision", math.nan)),
-        )
-        for s in data["samples"]
-    ]
+    samples = data["samples"]
+    speed_function = SpeedFunction._from_columns(
+        [float(s["size"]) for s in samples],
+        [float(s["speed"]) for s in samples],
+        [float(s.get("rel_precision", math.nan)) for s in samples],
+        bool(data.get("bounded", False)),
+    )
     return FunctionalPerformanceModel(
         name=str(data["name"]),
-        speed_function=SpeedFunction(samples, bounded=bool(data.get("bounded", False))),
+        speed_function=speed_function,
         kernel_name=str(data.get("kernel", "")),
         block_size=int(data.get("block_size", 640)),
         repetitions_total=int(data.get("repetitions_total", 0)),

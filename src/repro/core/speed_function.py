@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,10 @@ class SpeedSample:
 class SpeedFunction:
     """Continuous piecewise-linear speed ``s(x)`` built from samples.
 
+    The samples are stored once, as read-only float64 columns
+    :attr:`sizes`, :attr:`speeds` and :attr:`rel_precision`;
+    :attr:`samples` views them as :class:`SpeedSample` objects on demand.
+
     Parameters
     ----------
     samples:
@@ -60,94 +65,85 @@ class SpeedFunction:
     """
 
     def __init__(self, samples: list[SpeedSample], bounded: bool = False):
-        if not samples:
+        self._adopt(
+            [s.size for s in samples],
+            [s.speed for s in samples],
+            [s.rel_precision for s in samples],
+            bounded,
+        )
+
+    @classmethod
+    def _from_columns(cls, sizes, speeds, rel_precision, bounded: bool) -> "SpeedFunction":
+        fn = cls.__new__(cls)
+        fn._adopt(sizes, speeds, rel_precision, bounded)
+        return fn
+
+    def _adopt(self, sizes, speeds, rel_precision, bounded: bool) -> None:
+        """Validate the sample columns at once and store them read-only.
+
+        Every point must be a finite positive (size, speed) pair and the
+        sizes strictly increasing; a bad point raises the message
+        :class:`SpeedSample` gives it.
+        """
+        # copies: a caller's lists or arrays stay the caller's
+        xs, ss = np.array(sizes), np.array(speeds)
+        if xs.size == 0:
             raise ValueError("a speed function needs at least one sample")
-        sizes = [s.size for s in samples]
-        for a, b in zip(sizes, sizes[1:]):
-            if not a < b:
-                raise ValueError(
-                    f"sample sizes must be strictly increasing, got {a} then {b}"
-                )
-        self._samples = tuple(samples)
-        self._sizes = tuple(sizes)
-        self._speeds = tuple(s.speed for s in samples)
+        # NaN fails every comparison, so it fails these too
+        if not (
+            xs.dtype.kind in "iuf"
+            and ss.dtype.kind in "iuf"
+            and xs.min() > 0
+            and ss.min() > 0
+            and xs.max() < math.inf
+            and ss.max() < math.inf
+        ):
+            for x, s in zip(xs.tolist(), ss.tolist()):
+                SpeedSample(x, s)
+        rising = xs[1:] > xs[:-1]
+        if not rising.all():
+            a, b = xs[int(np.argmin(rising)) :][:2].tolist()
+            raise ValueError(f"sample sizes must be strictly increasing, got {a} then {b}")
+        self.sizes = _frozen(xs)
+        self.speeds = _frozen(ss)
+        self.rel_precision = _frozen(np.array(rel_precision))
         self.bounded = bool(bounded)
 
     # ------------------------------------------------------------------ api
-    @property
+    @cached_property
     def samples(self) -> tuple[SpeedSample, ...]:
-        return self._samples
+        columns = (self.sizes, self.speeds, self.rel_precision)
+        return tuple(map(SpeedSample, *(c.tolist() for c in columns)))
+
+    @cached_property
+    def _points(self) -> tuple[list[float], list[float]]:
+        """Sizes and speeds as Python floats: the scalar methods bisect and
+        interpolate on these, so they answer in Python floats."""
+        return self.sizes.tolist(), self.speeds.tolist()
 
     @property
     def min_size(self) -> float:
-        return self._sizes[0]
+        return self._points[0][0]
 
     @property
     def max_size(self) -> float:
-        return self._sizes[-1]
+        return self._points[0][-1]
 
     def speed(self, size: float) -> float:
         """Interpolated speed at ``size`` (constant beyond the sampled ends)."""
         check_nonnegative("size", size)
-        if size <= self._sizes[0]:
-            return self._speeds[0]
-        if size >= self._sizes[-1]:
-            if self.bounded and size > self._sizes[-1] * (1 + 1e-12):
-                raise ValueError(
-                    f"size {size} beyond the bounded model range "
-                    f"[0, {self._sizes[-1]}]"
-                )
-            return self._speeds[-1]
-        i = bisect.bisect_right(self._sizes, size)
-        x0, x1 = self._sizes[i - 1], self._sizes[i]
-        s0, s1 = self._speeds[i - 1], self._speeds[i]
+        sizes, speeds = self._points
+        if size <= sizes[0]:
+            return speeds[0]
+        if size >= sizes[-1]:
+            if self.bounded and size > sizes[-1] * (1 + 1e-12):
+                raise ValueError(f"size {size} beyond the bounded model range [0, {sizes[-1]}]")
+            return speeds[-1]
+        i = bisect.bisect_right(sizes, size)
+        x0, x1 = sizes[i - 1], sizes[i]
+        s0, s1 = speeds[i - 1], speeds[i]
         w = (size - x0) / (x1 - x0)
         return s0 + w * (s1 - s0)
-
-    def speed_batch(self, sizes) -> np.ndarray:
-        """Vectorised :meth:`speed` over an array of sizes.
-
-        ``np.interp`` clamps to the end samples, which matches the scalar
-        extension semantics exactly; bounded models still reject sizes
-        beyond their range.  Used by the hot sweep paths (monotonicity
-        checks, curve fitting, figure grids) where a Python-level loop of
-        bisect calls dominates the profile.
-        """
-        xs = np.asarray(sizes, dtype=float)
-        if xs.size and float(xs.min()) < 0.0:
-            raise ValueError("sizes must be non-negative")
-        if (
-            self.bounded
-            and xs.size
-            and float(xs.max()) > self._sizes[-1] * (1 + 1e-12)
-        ):
-            raise ValueError(
-                f"size {float(xs.max())} beyond the bounded model range "
-                f"[0, {self._sizes[-1]}]"
-            )
-        return np.interp(xs, self._sizes_array(), self._speeds_array())
-
-    def time_batch(self, sizes) -> np.ndarray:
-        """Vectorised :meth:`time`: ``x / s(x)`` elementwise, 0 at x=0."""
-        xs = np.asarray(sizes, dtype=float)
-        speeds = self.speed_batch(xs)
-        out = np.zeros_like(xs, dtype=float)
-        np.divide(xs, speeds, out=out, where=xs > 0.0)
-        return out
-
-    def _sizes_array(self) -> np.ndarray:
-        cached = getattr(self, "_sizes_array_cache", None)
-        if cached is None:
-            cached = np.asarray(self._sizes, dtype=float)
-            object.__setattr__(self, "_sizes_array_cache", cached)
-        return cached
-
-    def _speeds_array(self) -> np.ndarray:
-        cached = getattr(self, "_speeds_array_cache", None)
-        if cached is None:
-            cached = np.asarray(self._speeds, dtype=float)
-            object.__setattr__(self, "_speeds_array_cache", cached)
-        return cached
 
     def time(self, size: float) -> float:
         """Execution time in *size units per speed unit*: ``t(x) = x / s(x)``.
@@ -184,36 +180,28 @@ class SpeedFunction:
             return self._invert_time_exact(budget, knot_times)
         return self._invert_time_bisect(budget)
 
-    def _knot_times(self) -> tuple[float, ...] | None:
+    def _knot_times(self) -> list[float] | None:
         """Times at the sample knots, or None if not non-decreasing."""
-        cached = getattr(self, "_knot_times_cache", False)
-        if cached is not False:
-            return cached
-        times = tuple(x / s for x, s in zip(self._sizes, self._speeds))
-        result: tuple[float, ...] | None = times
-        for a, b in zip(times, times[1:]):
-            if b < a * (1.0 - 1e-12):
-                result = None
-                break
-        object.__setattr__(self, "_knot_times_cache", result)
-        return result
+        if "_knot_times_cache" not in self.__dict__:
+            times = self.sizes / self.speeds
+            rising = (times[1:] >= times[:-1] * (1.0 - 1e-12)).all()
+            self._knot_times_cache = times.tolist() if rising else None
+        return self._knot_times_cache
 
-    def _invert_time_exact(
-        self, budget: float, knot_times: tuple[float, ...]
-    ) -> float:
-        hi_cap = self._sizes[-1] if self.bounded else math.inf
+    def _invert_time_exact(self, budget: float, knot_times: list[float]) -> float:
+        sizes, speeds = self._points
         if budget <= knot_times[0]:
             # constant-speed head: t(x) = x / s0
-            return min(budget * self._speeds[0], self._sizes[0])
+            return min(budget * speeds[0], sizes[0])
         if budget >= knot_times[-1]:
             if self.bounded:
-                return hi_cap
+                return sizes[-1]
             # constant-speed tail
-            return max(self._sizes[-1], budget * self._speeds[-1])
+            return max(sizes[-1], budget * speeds[-1])
         seg = bisect.bisect_right(knot_times, budget) - 1
-        seg = min(max(seg, 0), len(self._sizes) - 2)
-        x0, x1 = self._sizes[seg], self._sizes[seg + 1]
-        s0, s1 = self._speeds[seg], self._speeds[seg + 1]
+        seg = min(max(seg, 0), len(sizes) - 2)
+        x0, x1 = sizes[seg], sizes[seg + 1]
+        s0, s1 = speeds[seg], speeds[seg + 1]
         m = (s1 - s0) / (x1 - x0)
         # solve x = budget * (s0 + m (x - x0))
         denom = 1.0 - budget * m
@@ -222,19 +210,20 @@ class SpeedFunction:
         x = budget * (s0 - m * x0) / denom
         return min(max(x, x0), x1)
 
+    @cached_property
+    def _invert_cache(self) -> dict[float, float]:
+        return {}
+
     def _invert_time_bisect(self, budget: float) -> float:
         # memoised per instance: the partitioners re-query the same budgets
         # (the final bracket repeats the best midpoint), and a repeated
         # budget must return the identical allocation anyway
-        cache = getattr(self, "_invert_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_invert_cache", cache)
+        cache = self._invert_cache
         hit = cache.get(budget)
         if hit is not None:
             return hit
-        hi_cap = self._sizes[-1] if self.bounded else math.inf
-        hi = max(1.0, self._sizes[0])
+        hi_cap = self.max_size if self.bounded else math.inf
+        hi = max(1.0, self.min_size)
         while self.time(hi) <= budget:
             if hi >= hi_cap:
                 return hi_cap
@@ -271,24 +260,26 @@ class SpeedFunction:
             return self._ray_exact(slope, cap)
         return self._ray_bisect(slope, cap)
 
+    @cached_property
+    def _ray_ratios(self) -> list[float]:
+        # negated knot ratios are non-decreasing -> bisect-compatible
+        return (-self.speeds / self.sizes).tolist()
+
     def _ray_exact(self, slope: float, cap: float) -> float:
-        ratios = getattr(self, "_ray_ratios_cache", None)
-        if ratios is None:
-            # negated knot ratios are non-decreasing -> bisect-compatible
-            ratios = tuple(-s / x for x, s in zip(self._sizes, self._speeds))
-            object.__setattr__(self, "_ray_ratios_cache", ratios)
+        ratios = self._ray_ratios
+        sizes, speeds = self._points
         if slope >= -ratios[0]:
             # constant-speed head: s(x) = s0, crossing at s0 / slope
-            return min(self._speeds[0] / slope, self._sizes[0], cap)
+            return min(speeds[0] / slope, sizes[0], cap)
         if slope <= -ratios[-1]:
             if self.bounded:
-                return min(self._sizes[-1], cap)
+                return min(sizes[-1], cap)
             # constant-speed tail
-            return min(self._speeds[-1] / slope, cap)
+            return min(speeds[-1] / slope, cap)
         seg = bisect.bisect_right(ratios, -slope) - 1
-        seg = min(max(seg, 0), len(self._sizes) - 2)
-        x0, x1 = self._sizes[seg], self._sizes[seg + 1]
-        s0, s1 = self._speeds[seg], self._speeds[seg + 1]
+        seg = min(max(seg, 0), len(sizes) - 2)
+        x0, x1 = sizes[seg], sizes[seg + 1]
+        s0, s1 = speeds[seg], speeds[seg + 1]
         m = (s1 - s0) / (x1 - x0)
         # solve slope * x = s0 + m (x - x0)
         denom = slope - m
@@ -300,8 +291,8 @@ class SpeedFunction:
     def _ray_bisect(self, slope: float, cap: float) -> float:
         limit = cap if math.isfinite(cap) else 1e18
         if self.bounded:
-            limit = min(limit, self._sizes[-1])
-        hi = max(1.0, self._sizes[0])
+            limit = min(limit, self.max_size)
+        hi = max(1.0, self.min_size)
         while slope * hi < self.speed(hi):
             if hi >= limit:
                 return limit
@@ -317,22 +308,14 @@ class SpeedFunction:
                 break
         return hi
 
-    def is_time_monotonic(self, grid_points: int = 512) -> bool:
-        """Check (numerically) that ``t(x)`` is non-decreasing on the range.
+    def is_time_monotonic(self) -> bool:
+        """Whether ``t(x)`` is non-decreasing over the whole range.
 
-        Piecewise-linear speed makes time piecewise smooth; checking on the
-        sample grid plus a refinement grid is exact enough in practice
-        because the only way time decreases is a speed segment rising
-        faster than linearly through the origin — visible at segment ends.
+        Exact: on each linear speed segment ``t(x) = x / (a + m x)`` is
+        monotone (its slope has the sign of the intercept ``a``), so time
+        rises everywhere exactly when it rises from knot to knot.
         """
-        xs = list(self._sizes)
-        lo, hi = self._sizes[0], self._sizes[-1]
-        if grid_points > 0 and hi > lo:
-            step = (hi - lo) / grid_points
-            xs.extend(lo + i * step for i in range(1, grid_points))
-        xs.sort()
-        times = self.time_batch(xs)
-        return not bool(np.any(times[1:] < times[:-1] * (1.0 - 1e-12)))
+        return self._knot_times() is not None
 
     def with_monotonic_time(self) -> "SpeedFunction":
         """A repaired copy whose time function is non-decreasing.
@@ -341,32 +324,26 @@ class SpeedFunction:
         ``t(x) = x / s(x)`` dip below the running maximum is clipped to the
         largest speed that keeps time non-decreasing: ``s_i <= x_i / t_max``.
         """
-        repaired: list[SpeedSample] = []
+        repaired = []
         t_max = 0.0
-        for sample in self._samples:
-            cap = sample.size / t_max if t_max > 0 else math.inf
-            speed = min(sample.speed, cap)
-            t_max = max(t_max, sample.size / speed)
-            repaired.append(
-                SpeedSample(sample.size, speed, sample.rel_precision)
-            )
-        return SpeedFunction(repaired, bounded=self.bounded)
+        for size, speed in zip(*self._points):
+            cap = size / t_max if t_max > 0 else math.inf
+            speed = min(speed, cap)
+            t_max = max(t_max, size / speed)
+            repaired.append(speed)
+        return self._from_columns(self.sizes, repaired, self.rel_precision, self.bounded)
 
     def scaled(self, factor: float) -> "SpeedFunction":
         """A copy with every speed multiplied by ``factor`` (> 0)."""
         check_positive("factor", factor)
-        return SpeedFunction(
-            [
-                SpeedSample(s.size, s.speed * factor, s.rel_precision)
-                for s in self._samples
-            ],
-            bounded=self.bounded,
+        return self._from_columns(
+            self.sizes, self.speeds * factor, self.rel_precision, self.bounded
         )
 
     @classmethod
     def constant(cls, speed: float, size: float = 1.0) -> "SpeedFunction":
         """A degenerate single-sample function — a CPM seen as an FPM."""
-        return cls([SpeedSample(size, speed)])
+        return cls._from_columns([size], [speed], [math.nan], False)
 
     @classmethod
     def from_points(
@@ -381,17 +358,22 @@ class SpeedFunction:
                 f"sizes and speeds must have equal length "
                 f"({len(sizes)} != {len(speeds)})"
             )
-        return cls(
-            [SpeedSample(x, s) for x, s in zip(sizes, speeds)], bounded=bounded
-        )
+        return cls._from_columns(sizes, speeds, np.full(len(sizes), math.nan), bounded)
 
     # -------------------------------------------------------------- dunders
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self.sizes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"SpeedFunction({len(self._samples)} samples, "
+            f"SpeedFunction({len(self)} samples, "
             f"range [{self.min_size}, {self.max_size}], "
             f"bounded={self.bounded})"
         )
+
+
+def _frozen(column: np.ndarray) -> np.ndarray:
+    """``column`` as float64 (converted only when it is not), made read-only."""
+    column = column.astype(np.float64, copy=False)
+    column.flags.writeable = False
+    return column

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 
-from repro.core.speed_function import SpeedFunction, SpeedSample
+from repro.core.speed_function import SpeedFunction
 from repro.util.validation import check_positive
 
 
@@ -134,11 +134,8 @@ def area_slice(
     This is what the paper's collapse produces for ``aspect = 1``; the
     result plugs straight into :func:`repro.core.partition.partition_fpm`.
     """
-    samples = [
-        SpeedSample(size=a, speed=surface.speed_at_area(a, aspect))
-        for a in sorted(set(areas))
-    ]
-    return SpeedFunction(samples)
+    sizes = sorted(set(areas))
+    return SpeedFunction.from_points(sizes, [surface.speed_at_area(a, aspect) for a in sizes])
 
 
 def aspect_sensitivity(

@@ -118,7 +118,9 @@ class FpmBuilder:
         model is cached under a digest of every input — benchmark
         identity, kernel, clamped grid, contention state and the
         builder's refinement knobs — and an identical later call replays
-        it instead of re-measuring.
+        it instead of re-measuring.  A stored payload the decoder rejects
+        counts as ``store.corrupt`` and is rebuilt and overwritten, like
+        an entry the store itself cannot read.
         """
         valid = kernel.valid_range
         if math.isfinite(valid.max_blocks):
@@ -130,7 +132,10 @@ class FpmBuilder:
             key = self._cache_key(kernel, grid, busy_cpu_cores, name, bounded, adaptive)
             cached = store.get("fpm", key)
             if cached is not None:
-                return fpm_from_dict(cached)
+                try:
+                    return fpm_from_dict(cached)
+                except (AttributeError, KeyError, TypeError, ValueError):
+                    get_tracer().counter("store.corrupt").add()
 
         tracer = get_tracer()
         with tracer.span(

@@ -100,16 +100,18 @@ class SimulatedSocket:
     interference: CpuGpuInterference
     block_size: int
 
+    @cached_property
+    def _cores(self) -> tuple[SimulatedCore, ...]:
+        return tuple(
+            SimulatedCore(f"{self.name}.core{i}", self.spec, self.interference, self.block_size)
+            for i in range(self.spec.cores)
+        )
+
     def core(self, index: int = 0) -> SimulatedCore:
-        """One of the socket's (identical) cores."""
+        """One of the socket's (identical) cores, built once per socket."""
         if not 0 <= index < self.spec.cores:
             raise ValueError(f"core index {index} out of range on {self.name}")
-        return SimulatedCore(
-            name=f"{self.name}.core{index}",
-            socket=self.spec,
-            interference=self.interference,
-            block_size=self.block_size,
-        )
+        return self._cores[index]
 
     def kernel_time(
         self,

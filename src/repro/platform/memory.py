@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +81,7 @@ class GpuMemoryModel:
     def __post_init__(self) -> None:
         check_positive("block_size", self.block_size)
 
-    @property
+    @cached_property
     def block_bytes(self) -> float:
         """Single-precision bytes of one b x b block."""
         return blocks_to_bytes(1, self.block_size)

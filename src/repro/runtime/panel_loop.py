@@ -16,11 +16,10 @@ Bit-identity contract
 The per-device event walk is kept as a test fixture
 (``tests/oracles/panel_loop.py``), not as a second lane here.  Both run
 on the same event engine and perform the same IEEE operations
-elementwise — per-device compute times from the solver's stacked segment
-tables (:meth:`BatchSpeedModels.times_at` here, its one-model oracle
-``time_row_at`` from ``tests/oracles/batch.py`` there), per-panel
-collectives from :meth:`SimulatedComm.pivot_bcast_time` — so totals,
-per-panel finish
+elementwise — per-device compute times from the solver's stacked
+sample matrices (:meth:`BatchSpeedModels.times_at` here, each model's
+own :meth:`SpeedFunction.time` there), per-panel collectives from
+:meth:`SimulatedComm.pivot_bcast_time` — so totals, per-panel finish
 times, per-device compute accumulations and ``events_processed`` are
 **bit-identical**.  The identity suites (tests/runtime/test_panel_loop.py
 and the hypothesis suite) enforce this; a change to the panel arithmetic
@@ -219,8 +218,9 @@ def simulate_spmd_run(
 ) -> PanelLoopResult:
     """Simulate a P-panel SPMD run of devices described by speed models.
 
-    Per-device per-panel compute times come from the stacked segment
-    tables (:meth:`BatchSpeedModels.times_at`); when a communicator is
+    Per-device per-panel compute times come from the stacked sample
+    matrices (:meth:`BatchSpeedModels.times_at`, which is each model's
+    :meth:`SpeedFunction.time`); when a communicator is
     given, the per-panel collective is the pivot broadcast over the
     device array, with ``recv_blocks`` defaulting to the square-ish
     rectangle perimeter ``2 * sqrt(allocation)`` blocks per device.

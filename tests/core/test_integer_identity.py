@@ -2,7 +2,7 @@
 
 :func:`repro.core.integer.round_partition` replays the one-block-at-a-time
 heap hand-out in bulk (:func:`~repro.core.integer.heap_pops`) and reads
-block times from :meth:`BatchSpeedModels.model_times`.  The oracle is the
+block times from :meth:`BatchSpeedModels.times_at`.  The oracle is the
 heap implementation it replaced (``tests/oracles/integer.py``), which
 calls :meth:`SpeedFunction.time` per heap entry.  The allocation lists
 must be *equal* — not close — over random model sets, including ties,
@@ -75,7 +75,7 @@ def rounding_problem(draw):
         # floors one or two blocks below a knot: the next-block times
         # are evaluated exactly at the knots
         continuous = [
-            max(0.0, rng.choice(fn._sizes) - rng.choice((0, 1, 2)) + rng.random() * 0.5)
+            max(0.0, rng.choice(fn.sizes.tolist()) - rng.choice((0, 1, 2)) + rng.random() * 0.5)
             for fn in fns
         ]
         total = sum(math.floor(x) for x in continuous) + rng.randint(0, p)
@@ -119,7 +119,7 @@ def test_round_partition_equals_heap_oracle(problem):
     st.lists(knotted_function(), min_size=1, max_size=8),
     st.lists(st.integers(min_value=0, max_value=400), min_size=1, max_size=40),
 )
-def test_model_times_equal_scalar_time_bitwise(fns, sizes):
+def test_times_at_rows_equal_scalar_time_bitwise(fns, sizes):
     """Element k is fns[rows[k]].time(sizes[k]), at and between knots."""
     rows = [k % len(fns) for k in range(len(sizes))]
     # bounded models are only asked within their range
@@ -127,10 +127,10 @@ def test_model_times_equal_scalar_time_bitwise(fns, sizes):
         float(min(x, fns[r].max_size) if fns[r].bounded else x)
         for x, r in zip(sizes, rows)
     ]
-    knots = [(float(x), r) for r, fn in enumerate(fns) for x in fn._sizes]
+    knots = [(float(x), r) for r, fn in enumerate(fns) for x in fn.sizes.tolist()]
     xs += [x for x, _ in knots]
     rows += [r for _, r in knots]
-    got = BatchSpeedModels(tuple(fns)).model_times(np.array(xs), np.array(rows))
+    got = BatchSpeedModels(tuple(fns)).times_at(np.array(xs), np.array(rows))
     want = [fns[r].time(x) for x, r in zip(xs, rows)]
     assert got.tolist() == want
 

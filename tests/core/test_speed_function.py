@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.fpm import FunctionalPerformanceModel
+from repro.core.serialization import fpm_from_dict, fpm_to_dict
 from repro.core.speed_function import SpeedFunction, SpeedSample
 
 
@@ -40,6 +43,93 @@ class TestConstruction:
         c = SpeedFunction.constant(42.0)
         assert c.speed(0.1) == 42.0
         assert c.speed(1e9) == 42.0
+
+
+class TestValidation:
+    """One vectorised check, with the messages of :class:`SpeedSample`."""
+
+    @pytest.mark.parametrize(
+        "sizes, speeds, message",
+        [
+            ([1.0, math.nan], [2.0, 3.0], "size must be a finite positive number, got nan"),
+            ([1.0, 2.0], [2.0, math.inf], "speed must be a finite positive number, got inf"),
+            ([1.0, 2.0], [-2.0, 3.0], "speed must be a finite positive number, got -2.0"),
+            ([0, 2], [2, 3], "size must be a finite positive number, got 0"),
+            ([1.0, 3.0, 2.0], [1.0, 1.0, 1.0], "strictly increasing, got 3.0 then 2.0"),
+            ([], [], "at least one sample"),
+        ],
+    )
+    def test_from_points_messages(self, sizes, speeds, message):
+        with pytest.raises(ValueError, match=message):
+            SpeedFunction.from_points(sizes, speeds)
+
+    def test_the_first_bad_point_is_reported(self):
+        with pytest.raises(ValueError, match="speed .* got 0.0"):
+            SpeedFunction.from_points([1.0, -2.0], [0.0, 1.0])
+
+    def test_non_numbers_are_type_errors(self):
+        with pytest.raises(TypeError, match="size must be a number, got str"):
+            SpeedFunction.from_points(["1"], [1.0])
+        with pytest.raises(TypeError, match="speed must be a number, got bool"):
+            SpeedFunction.constant(True)
+
+    def test_derived_copies_are_checked(self):
+        f = fn([(1.0, 1e300), (2.0, 2e300)])
+        with pytest.raises(ValueError, match="got inf"):
+            f.scaled(1e10)
+
+    def test_columns_are_read_only_float64(self):
+        sizes = [1, 2, 4]
+        f = SpeedFunction.from_points(sizes, [3, 5, 6])
+        for column in (f.sizes, f.speeds, f.rel_precision):
+            assert column.dtype == np.float64
+            with pytest.raises(ValueError):
+                column[0] = 9.0
+        assert sizes == [1, 2, 4]
+        assert type(f.speed(3.0)) is float and type(f.time(3.0)) is float
+        assert type(f.min_size) is float and type(f.max_size) is float
+
+    def test_samples_view_the_columns(self):
+        f = SpeedFunction([SpeedSample(1.0, 2.0, 0.1), SpeedSample(3.0, 4.0)])
+        for g, factor in ((f, 1.0), (f.scaled(2.0), 2.0)):
+            first, second = g.samples
+            assert first == SpeedSample(1.0, 2.0 * factor, 0.1)
+            assert (second.size, second.speed) == (3.0, 4.0 * factor)
+            assert math.isnan(second.rel_precision)
+
+
+class TestNoSampleObjects:
+    """Derived functions and serialisation stay on the arrays: building
+    and round-tripping a model makes no :class:`SpeedSample` objects."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        count = [0]
+        original = SpeedSample.__init__
+
+        def counted(self, *args, **kwargs):
+            count[0] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpeedSample, "__init__", counted)
+        return count
+
+    def test_derived_copies_build_no_samples(self, built):
+        f = SpeedFunction.from_points(
+            [1.0, 2.0, 3.0, 8.0], [1.0, 9.0, 2.0, 4.0], bounded=True
+        )
+        g = f.scaled(1.5).with_monotonic_time()
+        SpeedFunction.constant(3.0)
+        assert g.time(2.5) > 0.0 and g.max_size_within_time(1.0) > 0.0
+        assert built[0] == 0
+
+    def test_serialisation_round_trip_builds_no_samples(self, built):
+        fpm = FunctionalPerformanceModel(
+            "gpu", SpeedFunction.from_points([1.0, 4.0], [2.0, 3.0])
+        )
+        back = fpm_from_dict(fpm_to_dict(fpm))
+        assert fpm_to_dict(back) == fpm_to_dict(fpm)
+        assert built[0] == 0
 
 
 class TestEvaluation:
@@ -196,45 +286,6 @@ class TestProperties:
         bigger = min(x * (1 + 1e-4) + 1e-6, cap)
         if bigger > x:
             assert g.time(bigger) >= budget * (1 - 1e-4)
-
-
-class TestBatchEvaluation:
-    """speed_batch/time_batch must agree with the scalar paths exactly."""
-
-    def test_matches_scalar_everywhere(self):
-        f = fn([(1, 10), (2, 20), (4, 15)])
-        xs = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 9.0]
-        assert list(f.speed_batch(xs)) == [f.speed(x) for x in xs]
-        assert list(f.time_batch(xs)) == [f.time(x) for x in xs]
-
-    def test_zero_size_has_zero_time(self):
-        f = fn([(1, 10), (2, 20)])
-        assert f.time_batch([0.0])[0] == 0.0
-
-    def test_negative_sizes_rejected(self):
-        f = fn([(1, 10), (2, 20)])
-        with pytest.raises(ValueError):
-            f.speed_batch([1.0, -0.5])
-
-    def test_bounded_range_enforced(self):
-        f = fn([(1, 10), (2, 20)], bounded=True)
-        assert list(f.speed_batch([1.5, 2.0])) == [f.speed(1.5), f.speed(2.0)]
-        with pytest.raises(ValueError, match="bounded model range"):
-            f.speed_batch([1.0, 2.5])
-
-    def test_empty_input(self):
-        f = fn([(1, 10), (2, 20)])
-        assert f.speed_batch([]).shape == (0,)
-
-    @given(
-        speed_functions(),
-        st.lists(st.floats(min_value=0, max_value=2e4), max_size=16),
-    )
-    @settings(max_examples=100)
-    def test_batch_equals_scalar(self, f, xs):
-        batch = f.speed_batch(xs)
-        for x, s in zip(xs, batch):
-            assert s == pytest.approx(f.speed(x), rel=1e-12, abs=1e-12)
 
 
 class TestRayIntersection:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core.batch import BatchSpeedModels
 from repro.core.speed_function import SpeedFunction, SpeedSample
 
-from tests.oracles.batch import row_params, time_row_at
+from tests.oracles.batch import row_params
 
 pytestmark = pytest.mark.property
 
@@ -114,23 +114,28 @@ def test_one_pass_matrices_equal_per_model_stacking(fns):
 
 @given(models, st.data())
 def test_times_at_equals_the_scalar_time_kernel(fns, data):
-    """Element ``i`` of ``times_at`` is the one-model kernel, bit for bit.
+    """Element ``i`` of ``times_at`` is :meth:`SpeedFunction.time`, bit for bit.
 
     Drift control prices its ideal panel times with ``times_at``; the
-    sizes include zero, knots and both sides of the sampled range.
+    sizes include zero, knots and both sides of the sampled range
+    (bounded models only up to their last sample, where ``time`` is
+    defined).
     """
     batch = BatchSpeedModels(tuple(fns))
     sizes = [
         data.draw(
             st.one_of(
                 st.just(0.0),
-                st.sampled_from(fn._sizes),
-                st.floats(min_value=1e-3, max_value=2000.0),
+                st.sampled_from(fn.sizes.tolist()),
+                st.floats(
+                    min_value=1e-3,
+                    max_value=fn.max_size if fn.bounded else 2000.0,
+                ),
             )
         )
         for fn in fns
     ]
-    want = np.array([time_row_at(fn, x) for fn, x in zip(fns, sizes)])
+    want = np.array([fn.time(x) for fn, x in zip(fns, sizes)])
     assert batch.times_at(sizes).tobytes() == want.tobytes()
 
 

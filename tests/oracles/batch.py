@@ -1,14 +1,11 @@
-"""Reference one-model solver rows and time kernel.
+"""Reference one-model solver rows.
 
-Verbatim copies of ``_row_params`` (renamed :func:`row_params`) and
-``time_row_at``, which shipped in :mod:`repro.core.batch` as the scalar
-twins of the batched kernels through v1.16.  :func:`row_params` builds
-one model's solver row (the one-model case of
-:func:`repro.core.batch._stack_rows`), and :func:`time_row_at` performs
-the same floating-point operations, in the same order, as one element
-of :meth:`repro.core.batch.BatchSpeedModels.times_at`.  The scalar
-partitioner and panel-loop oracles walk models with them, and the
-identity suites require the batched kernels to agree bit for bit.
+:func:`row_params` is a verbatim copy of ``_row_params``, which shipped
+in :mod:`repro.core.batch` through v1.16: one model's solver row, the
+one-model case of :func:`repro.core.batch._stack_rows`.  The scalar
+partitioner oracle walks models with it, and the identity suites require
+the batched kernels to agree bit for bit.  The batched time kernel needs
+no copy here: its one-model form is :meth:`SpeedFunction.time`.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ def row_params(fn: SpeedFunction):
     cached = getattr(fn, "_solver_row_cache", None)
     if cached is not None:
         return cached
-    m = len(fn._sizes)
+    m = len(fn)
     out = _padded(1, m)
     _stack_rows((fn,), out, (0,))
     knot_times, sizes, speeds, table, _, _, monotone = out
@@ -40,20 +37,3 @@ def row_params(fn: SpeedFunction):
     )
     object.__setattr__(fn, "_solver_row_cache", row)
     return row
-
-
-def time_row_at(fn: SpeedFunction, size: float) -> float:
-    """Scalar twin of the batched time kernel: ``t(x) = x / s(x)``."""
-    if size <= 0.0:
-        return 0.0
-    sizes, speeds, _, _, _ = row_params(fn)
-    k = int((sizes < size).sum())
-    if k == 0:
-        s = speeds[0]
-    elif k == sizes.size:
-        s = speeds[-1]
-    else:
-        x0, x1 = sizes[k - 1], sizes[k]
-        s0, s1 = speeds[k - 1], speeds[k]
-        s = s0 + ((size - x0) / (x1 - x0)) * (s1 - s0)
-    return size / s

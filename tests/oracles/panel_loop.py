@@ -4,7 +4,7 @@ Verbatim copy of the scalar lane (``engine="scalar"``) that
 :mod:`repro.runtime.panel_loop` offered beside its batched lane until
 v1.15.  It schedules one event per device per panel, and
 :func:`simulate_spmd_run` takes each device's compute time from
-:func:`tests.oracles.batch.time_row_at` and the pivot broadcast from
+:meth:`SpeedFunction.time` and the pivot broadcast from
 :func:`tests.oracles.mpi.pivot_bcast_time` over a plain list.  The identity
 suites require the production loop to return equal results on every
 input.
@@ -24,7 +24,6 @@ from repro.runtime.mpi_sim import SimulatedComm
 from repro.runtime.panel_loop import PanelLoopResult
 from repro.util.units import DEFAULT_BLOCKING_FACTOR
 
-from tests.oracles.batch import time_row_at
 from tests.oracles.mpi import pivot_bcast_time
 
 
@@ -120,9 +119,7 @@ def simulate_spmd_run(
     """The scalar-lane form of :func:`repro.runtime.panel_loop.simulate_spmd_run`."""
     fns = [as_speed_function(m) for m in models]
     alloc = np.asarray(allocations, dtype=float)
-    compute = np.array(
-        [time_row_at(fn, float(a)) for fn, a in zip(fns, alloc)]
-    )
+    compute = np.array([fn.time(float(a)) for fn, a in zip(fns, alloc)])
     comm_s = 0.0
     if comm is not None:
         recv = (

@@ -27,7 +27,7 @@ from repro.core.partition import (
 from repro.core.speed_function import SpeedFunction
 from repro.util.validation import check_positive, check_positive_int
 
-from tests.oracles.batch import row_params, time_row_at
+from tests.oracles.batch import row_params
 
 
 def allocation_row_at(fn: SpeedFunction, finish_time: float) -> float:
@@ -60,7 +60,7 @@ def partition_fpm_scalar(
     """Reference oracle for :func:`partition_fpm`: one model at a time.
 
     Runs the *same* Illinois driver with the one-model kernels
-    (:func:`allocation_row_at` / :func:`tests.oracles.batch.time_row_at`),
+    (:func:`allocation_row_at` / :meth:`SpeedFunction.time`),
     so its result is bit-identical to the vectorized solver on every
     input — the property suite holds the two against each other.  It is
     deliberately trace-free: a plain readable statement of the
@@ -76,9 +76,7 @@ def partition_fpm_scalar(
     def evaluate(finish_time):
         return [allocation_row_at(fn, finish_time) for fn in fns]
 
-    t_hi = max(
-        time_row_at(fn, min(total, cap)) for fn, cap in zip(fns, caps)
-    ) + 1e-12
+    t_hi = max(fn.time(min(total, cap)) for fn, cap in zip(fns, caps)) + 1e-12
     allocs, lower, _, _, _ = _solve_equal_time(
         evaluate, total, t_hi, tolerance=tolerance, max_iters=max_iters
     )

@@ -108,10 +108,10 @@ def _count_ideal_times(monkeypatch) -> list[int]:
     original = BatchSpeedModels.times_at
     adopt = drift_control._DriftEpisode.adopt.__code__
 
-    def counted(self, sizes):
+    def counted(self, sizes, rows=None):
         if sys._getframe(1).f_code is adopt:
             calls[0] += 1
-        return original(self, sizes)
+        return original(self, sizes, rows)
 
     monkeypatch.setattr(BatchSpeedModels, "times_at", counted)
     return calls

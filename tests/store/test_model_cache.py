@@ -1,5 +1,8 @@
 """Store-backed model building: warm replays are bit-identical to cold."""
 
+import json
+import math
+
 import pytest
 
 from repro.core.serialization import fpm_to_dict
@@ -58,6 +61,46 @@ class TestFpmBuilderCache:
         metrics = tracer.metrics.snapshot()
         assert metrics["store.hit"] == len(cold._models)
         assert "store.miss" not in metrics
+
+
+def _set_second_speed(value):
+    def tamper(samples):
+        samples[1]["speed"] = value
+
+    return tamper
+
+
+#: Payload edits the store cannot see (its digest covers the key, not the
+#: payload) but the model decoder rejects.
+TAMPERED = {
+    "nan-speed": _set_second_speed(math.nan),
+    "infinite-speed": _set_second_speed(math.inf),
+    "negative-speed": _set_second_speed(-1.0),
+    "unsorted-sizes": list.reverse,
+    "no-samples": list.clear,
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERED.values(), ids=TAMPERED.keys())
+def test_tampered_fpm_payload_is_a_miss_and_rebuilt(quiet_bench, store, tamper):
+    builder = FpmBuilder(quiet_bench)
+    kernel = quiet_bench.socket_kernel(0, 5)
+    grid = SizeGrid.geometric(4.0, 400.0, 6)
+    with use_store(store):
+        cold = builder.build(kernel, grid, name="s5")
+    (path,) = store.entries("fpm")
+    envelope = json.loads(path.read_text(encoding="utf-8"))
+    tamper(envelope["payload"]["samples"])
+    path.write_text(json.dumps(envelope), encoding="utf-8")
+
+    tracer = Tracer()
+    with use_store(store), use_tracer(tracer):
+        rebuilt = builder.build(kernel, grid, name="s5")
+    assert fpm_to_dict(rebuilt) == fpm_to_dict(cold)
+    assert tracer.metrics.snapshot()["store.corrupt"] == 1
+    # the rebuild overwrote the bad entry
+    repaired = json.loads(path.read_text(encoding="utf-8"))
+    assert repaired["payload"] == fpm_to_dict(cold)
 
 
 class TestOnlinePartitionCache:

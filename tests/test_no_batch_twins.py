@@ -1,8 +1,8 @@
-"""Each device cost has one form: no public ``X_batch`` beside an ``X``.
+"""Each cost and model has one form: no public ``X_batch`` beside an ``X``.
 
-The simulated platform, the kernels, the unit converters and the
-simulated communicator price their quantities with array forms under the
-plain name.  A scalar ``X`` written beside an array ``X_batch`` is a
+The simulated platform, the kernels, the unit converters, the simulated
+communicator and the partitioning core price their quantities with array
+forms under the plain name.  A scalar ``X`` written beside an array ``X_batch`` is a
 second copy of the same formula that nothing checks against the first,
 so this AST scan fails when one appears in those modules.
 
@@ -20,8 +20,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 
-#: The modules whose costs must keep one form each.
+#: The modules whose costs and models must keep one form each.
 SCANNED = (
+    *sorted((SRC / "core").glob("*.py")),
     *sorted((SRC / "platform").glob("*.py")),
     *sorted((SRC / "kernels").glob("*.py")),
     SRC / "util" / "units.py",
