@@ -20,7 +20,7 @@ from repro.core.geometry import ColumnPartition
 from repro.obs import get_tracer
 from repro.runtime.mpi_sim import SimulatedComm
 from repro.runtime.panel_loop import simulate_panel_loop
-from repro.runtime.process import DeviceBoundProcess
+from repro.runtime.process import DeviceBoundProcess, iteration_times
 from repro.util.validation import check_positive_int
 
 
@@ -55,7 +55,8 @@ def _iteration_profile(
     """Per-rank (areas, kernel times, pivot receive sizes) of one iteration.
 
     Shared prologue of the analytic and event-simulated execution paths,
-    so both time exactly the same per-process profile.
+    so both time exactly the same per-process profile; the kernel times
+    come from one :func:`~repro.runtime.process.iteration_times` pass.
     """
     by_rank = {p.rank: p for p in processes}
     rects = {r.owner: r for r in partition.rectangles}
@@ -66,18 +67,15 @@ def _iteration_profile(
             f"{sorted(o for o in missing if rects[o].area > 0)}"
         )
 
+    ranks = sorted(by_rank)
     areas = []
-    compute_per_iter = []
     recv_blocks = []
-    for rank in sorted(by_rank):
+    for rank in ranks:
         rect = rects.get(rank)
         area = rect.area if rect is not None else 0
         areas.append(area)
-        compute_per_iter.append(by_rank[rank].iteration_time(area))
-        if rect is not None and rect.area > 0:
-            recv_blocks.append(rect.height + rect.width)
-        else:
-            recv_blocks.append(0)
+        recv_blocks.append(rect.height + rect.width if area > 0 else 0)
+    compute_per_iter = iteration_times([by_rank[r] for r in ranks], areas)
     return areas, compute_per_iter, recv_blocks
 
 

@@ -25,7 +25,7 @@ from repro.core.cpm import ConstantPerformanceModel, cpms_from_even_split
 from repro.core.fpm import FunctionalPerformanceModel
 from repro.core.geometry import ColumnPartition, column_based_partition
 from repro.core.integer import refine_integer_partition, round_partition
-from repro.core.solver import Solver
+from repro.core.solver import SolveResult, Solver
 from repro.app.execution import (
     ExecutionResult,
     simulate_execution,
@@ -121,6 +121,9 @@ class HybridMatMul:
         self.comm_model = comm_model or CommModel()
         self._models: dict[str, FunctionalPerformanceModel] = {}
         self._units: tuple[ComputeUnit, ...] | None = None
+        self._processes: tuple[DeviceBoundProcess, ...] | None = None
+        # n -> the FPM baseline: the held solve and the plan realised from it
+        self._baselines: dict[int, tuple[SolveResult, MatMulPlan]] = {}
 
     # ----------------------------------------------------------- topology
     def compute_units(self) -> list[ComputeUnit]:
@@ -167,8 +170,12 @@ class HybridMatMul:
 
     # ------------------------------------------------------------- models
     def set_models(self, models: dict[str, FunctionalPerformanceModel]) -> None:
-        """Install pre-built models, keyed by compute-unit name."""
+        """Install pre-built models, keyed by compute-unit name.
+
+        Forgets every memoised FPM baseline (:meth:`fpm_baseline`).
+        """
         self._models.update(models)
+        self._baselines.clear()
 
     def build_models(
         self,
@@ -181,7 +188,8 @@ class HybridMatMul:
 
         ``max_blocks`` should cover the largest allocation any unit may
         receive (the total block count of the largest planned problem is
-        always safe).  Models are cached on the instance.
+        always safe).  Models are cached on the instance; adding one
+        forgets every memoised FPM baseline (:meth:`fpm_baseline`).
         """
         check_positive("max_blocks", max_blocks)
         builder = FpmBuilder(self.bench)
@@ -202,6 +210,7 @@ class HybridMatMul:
                 )
             model = builder.build(kernel, grid, adaptive=adaptive, name=unit.name)
             self._models[unit.name] = model.repaired()
+            self._baselines.clear()
         return dict(self._models)
 
     def models_for(self, units: list[ComputeUnit]) -> list[FunctionalPerformanceModel]:
@@ -246,20 +255,41 @@ class HybridMatMul:
             ]
             return self._realise(n, strategy, units, unit_allocs, process_allocs)
         if strategy is PartitioningStrategy.FPM:
-            models = self.models_for(units)
-            # the held result lets the rounding reuse the solve's rows
-            result = Solver().solve(models, float(total))
-            unit_allocs = round_partition(models, list(result.allocations), total)
-            unit_allocs = refine_integer_partition(models, unit_allocs)
-        else:
-            calibration = cpm_calibration_total or 40.0 * 40.0
-            constants = self.constant_models(calibration)
-            continuous = list(
-                Solver(strategy="cpm").solve(constants, float(total)).allocations
-            )
-            speeds = [c.speed for c in constants]
-            unit_allocs = round_partition(speeds, continuous, total)
+            return self.fpm_baseline(n)[1]
+        calibration = cpm_calibration_total or 40.0 * 40.0
+        constants = self.constant_models(calibration)
+        continuous = list(
+            Solver(strategy="cpm").solve(constants, float(total)).allocations
+        )
+        speeds = [c.speed for c in constants]
+        unit_allocs = round_partition(speeds, continuous, total)
         return self._realise(n, strategy, units, unit_allocs)
+
+    def fpm_baseline(self, n: int) -> tuple[SolveResult, MatMulPlan]:
+        """The FPM solve of the ``n x n``-block problem and its plan.
+
+        One solve over every unit's model, rounded and refined on the
+        solve's own rows, then realised.  Both are pure functions of the
+        models and ``n``, so they are computed once per ``n`` and shared
+        by :meth:`plan` and every :class:`~repro.runtime.episode.Episode`
+        (a shared plan shares its geometry too); the held result heads
+        an episode's warm re-solve chain.  Changing the models forgets
+        the memo.
+        """
+        check_positive_int("n", n)
+        baseline = self._baselines.get(n)
+        if baseline is None:
+            models = self.models_for(self.compute_units())
+            result = Solver().solve(models, float(n * n))
+            # the held result lets the rounding reuse the solve's rows
+            fns = result.warm.batch.fns
+            allocs = round_partition(fns, list(result.allocations), n * n)
+            allocs = refine_integer_partition(fns, allocs)
+            baseline = self._baselines[n] = (
+                result,
+                self.plan_from_unit_allocations(n, allocs),
+            )
+        return baseline
 
     def plan_from_unit_allocations(
         self,
@@ -349,13 +379,21 @@ class HybridMatMul:
 
     # ------------------------------------------------------------ execute
     def processes(self) -> list[DeviceBoundProcess]:
-        """All ranks of the node with their kernels and contention state."""
-        return bind_processes(
-            self.binding,
-            self.bench.sockets,
-            self.bench.gpus,
-            gpu_version=self.gpu_version,
-        )
+        """All ranks of the node with their kernels and contention state.
+
+        The binding is fixed per instance, so the ranks are bound once
+        and a fresh list returned on every call.
+        """
+        if self._processes is None:
+            self._processes = tuple(
+                bind_processes(
+                    self.binding,
+                    self.bench.sockets,
+                    self.bench.gpus,
+                    gpu_version=self.gpu_version,
+                )
+            )
+        return list(self._processes)
 
     def execute(self, plan: MatMulPlan) -> ExecutionResult:
         """Simulate the application run for a resolved plan."""

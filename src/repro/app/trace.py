@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.core.geometry import ColumnPartition
 from repro.runtime.mpi_sim import SimulatedComm
-from repro.runtime.process import DeviceBoundProcess
+from repro.runtime.process import DeviceBoundProcess, iteration_times
 from repro.util.timeline import Timeline
 from repro.util.units import blocks_to_bytes
 
@@ -71,15 +71,14 @@ def trace_execution(
     by_rank = {p.rank: p for p in processes}
     rects = {r.owner: r for r in partition.rectangles}
 
-    compute = {}
+    areas = {}
     recv_blocks = {}
-    for rank, proc in by_rank.items():
+    for rank in by_rank:
         rect = rects.get(rank)
-        area = rect.area if rect is not None else 0
-        compute[rank] = proc.iteration_time(area)
-        recv_blocks[rank] = (
-            rect.height + rect.width if rect is not None and rect.area else 0
-        )
+        areas[rank] = rect.area if rect is not None else 0
+        recv_blocks[rank] = rect.height + rect.width if areas[rank] else 0
+    times = iteration_times(list(by_rank.values()), list(areas.values()))
+    compute = dict(zip(by_rank, times))
 
     p = len(by_rank)
     depth = math.ceil(math.log2(p)) if p > 1 else 0

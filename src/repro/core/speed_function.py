@@ -190,7 +190,11 @@ class SpeedFunction:
 
     def _invert_time_exact(self, budget: float, knot_times: list[float]) -> float:
         sizes, speeds = self._points
-        if budget <= knot_times[0]:
+        # the last knot within budget: past the first one only when the
+        # budget is the time of a plateau that starts at the first knot,
+        # which the segment search answers with the plateau's largest x
+        seg = bisect.bisect_right(knot_times, budget) - 1
+        if budget <= knot_times[0] and seg <= 0:
             # constant-speed head: t(x) = x / s0
             return min(budget * speeds[0], sizes[0])
         if budget >= knot_times[-1]:
@@ -198,7 +202,6 @@ class SpeedFunction:
                 return sizes[-1]
             # constant-speed tail
             return max(sizes[-1], budget * speeds[-1])
-        seg = bisect.bisect_right(knot_times, budget) - 1
         seg = min(max(seg, 0), len(sizes) - 2)
         x0, x1 = sizes[seg], sizes[seg + 1]
         s0, s1 = speeds[seg], speeds[seg + 1]
@@ -223,7 +226,7 @@ class SpeedFunction:
         if hit is not None:
             return hit
         hi_cap = self.max_size if self.bounded else math.inf
-        hi = max(1.0, self.min_size)
+        hi = min(max(1.0, self.min_size), hi_cap)
         while self.time(hi) <= budget:
             if hi >= hi_cap:
                 return hi_cap
@@ -268,7 +271,11 @@ class SpeedFunction:
     def _ray_exact(self, slope: float, cap: float) -> float:
         ratios = self._ray_ratios
         sizes, speeds = self._points
-        if slope >= -ratios[0]:
+        # the last knot on or above the ray: past the first one only when
+        # the ray runs along a time plateau that starts at the first knot,
+        # which the segment search answers with the plateau's largest x
+        seg = bisect.bisect_right(ratios, -slope) - 1
+        if slope >= -ratios[0] and seg <= 0:
             # constant-speed head: s(x) = s0, crossing at s0 / slope
             return min(speeds[0] / slope, sizes[0], cap)
         if slope <= -ratios[-1]:
@@ -276,7 +283,6 @@ class SpeedFunction:
                 return min(sizes[-1], cap)
             # constant-speed tail
             return min(speeds[-1] / slope, cap)
-        seg = bisect.bisect_right(ratios, -slope) - 1
         seg = min(max(seg, 0), len(sizes) - 2)
         x0, x1 = sizes[seg], sizes[seg + 1]
         s0, s1 = speeds[seg], speeds[seg + 1]
@@ -292,7 +298,7 @@ class SpeedFunction:
         limit = cap if math.isfinite(cap) else 1e18
         if self.bounded:
             limit = min(limit, self.max_size)
-        hi = max(1.0, self.min_size)
+        hi = min(max(1.0, self.min_size), limit)
         while slope * hi < self.speed(hi):
             if hi >= limit:
                 return limit

@@ -118,6 +118,26 @@ class DriftControlPolicy:
         check_nonnegative("resolve_cost_s", self.resolve_cost_s)
 
 
+class _UnitStatistics:
+    """One unit's expected time and EWMA/CUSUM state, updated in place.
+
+    The onset accumulators count and sum the residuals since each
+    one-sided statistic last touched zero — the CUSUM maximum-likelihood
+    estimate of the post-change residual mean.
+    """
+
+    __slots__ = (
+        "expected", "ewma", "gp", "gn",
+        "pos_count", "pos_sum", "neg_count", "neg_sum",
+    )
+
+    def __init__(self, expected: float) -> None:
+        self.expected = expected
+        self.ewma = self.gp = self.gn = 0.0
+        self.pos_count = self.neg_count = 0
+        self.pos_sum = self.neg_sum = 0.0
+
+
 class DriftController:
     """EWMA/CUSUM change detector over per-unit panel timings.
 
@@ -139,15 +159,7 @@ class DriftController:
         if not expected_s:
             raise ValueError("need expected times for at least one unit")
         self.policy = policy
-        self._expected: dict[str, float] = {}
-        self._ewma: dict[str, float] = {}
-        self._gp: dict[str, float] = {}
-        self._gn: dict[str, float] = {}
-        # Onset accumulators: (count, sum of z) since each one-sided
-        # statistic last touched zero — the CUSUM maximum-likelihood
-        # estimate of the post-change residual mean.
-        self._pos_onset: dict[str, tuple[int, float]] = {}
-        self._neg_onset: dict[str, tuple[int, float]] = {}
+        self._units: dict[str, _UnitStatistics] = {}
         self._panels = 0
         self._cooldown = 0
         self.detections = 0
@@ -155,7 +167,7 @@ class DriftController:
 
     @property
     def units(self) -> tuple[str, ...]:
-        return tuple(self._expected)
+        return tuple(self._units)
 
     def recalibrate(
         self, expected_s: Mapping[str, float], cooldown: int | None = None
@@ -163,18 +175,17 @@ class DriftController:
         """Adopt new expected times; zero statistics; start a cooldown."""
         for name, expected in expected_s.items():
             check_positive(f"expected_s[{name!r}]", expected)
-        self._expected = dict(expected_s)
-        self._ewma = {name: 0.0 for name in self._expected}
-        self._gp = {name: 0.0 for name in self._expected}
-        self._gn = {name: 0.0 for name in self._expected}
-        self._pos_onset = {name: (0, 0.0) for name in self._expected}
-        self._neg_onset = {name: (0, 0.0) for name in self._expected}
+        self._units = {
+            name: _UnitStatistics(expected)
+            for name, expected in expected_s.items()
+        }
         self._panels = 0
         self._cooldown = (
             self.policy.cooldown_panels if cooldown is None else cooldown
         )
 
-    def _inflation(self, name: str) -> float:
+    @staticmethod
+    def _inflation(unit: _UnitStatistics) -> float:
         """Post-change time-inflation estimate of one unit.
 
         The mean residual since the dominant CUSUM side last touched
@@ -183,10 +194,10 @@ class DriftController:
         panels), which is what lets one commit fully absorb the step.
         Units whose statistics sit at zero report 1.0: no change.
         """
-        if self._gp[name] >= self._gn[name]:
-            count, total = self._pos_onset[name]
+        if unit.gp >= unit.gn:
+            count, total = unit.pos_count, unit.pos_sum
         else:
-            count, total = self._neg_onset[name]
+            count, total = unit.neg_count, unit.neg_sum
         if count == 0:
             return 1.0
         return math.exp(total / count)
@@ -199,28 +210,31 @@ class DriftController:
         one-sided CUSUM exceeded the policy threshold.
         """
         policy = self.policy
+        alpha, slack, threshold = policy.alpha, policy.slack, policy.threshold
+        keep = 1.0 - alpha
         self._panels += 1
         triggered = False
-        for name, expected in self._expected.items():
+        for name, unit in self._units.items():
             obs = observed_s[name]
-            check_positive(f"observed_s[{name!r}]", obs)
-            z = math.log(obs / expected)
-            self._ewma[name] = (1.0 - policy.alpha) * self._ewma[name] \
-                + policy.alpha * z
-            self._gp[name] = max(0.0, self._gp[name] + z - policy.slack)
-            self._gn[name] = max(0.0, self._gn[name] - z - policy.slack)
-            if self._gp[name] == 0.0:
-                self._pos_onset[name] = (0, 0.0)
+            # a finite positive float needs no checker call; anything
+            # else gets check_positive's verdict and message
+            if type(obs) is not float or not 0.0 < obs < math.inf:
+                check_positive(f"observed_s[{name!r}]", obs)
+            z = math.log(obs / unit.expected)
+            unit.ewma = keep * unit.ewma + alpha * z
+            unit.gp = gp = max(0.0, unit.gp + z - slack)
+            unit.gn = gn = max(0.0, unit.gn - z - slack)
+            if gp == 0.0:
+                unit.pos_count, unit.pos_sum = 0, 0.0
             else:
-                count, total = self._pos_onset[name]
-                self._pos_onset[name] = (count + 1, total + z)
-            if self._gn[name] == 0.0:
-                self._neg_onset[name] = (0, 0.0)
+                unit.pos_count += 1
+                unit.pos_sum += z
+            if gn == 0.0:
+                unit.neg_count, unit.neg_sum = 0, 0.0
             else:
-                count, total = self._neg_onset[name]
-                self._neg_onset[name] = (count + 1, total + z)
-            if self._gp[name] > policy.threshold \
-                    or self._gn[name] > policy.threshold:
+                unit.neg_count += 1
+                unit.neg_sum += z
+            if gp > threshold or gn > threshold:
                 triggered = True
         if self._cooldown > 0:
             self._cooldown -= 1
@@ -228,7 +242,7 @@ class DriftController:
         if not triggered:
             return None
         self.detections += 1
-        return {name: self._inflation(name) for name in self._expected}
+        return {name: self._inflation(unit) for name, unit in self._units.items()}
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.fpm import as_speed_function
 from repro.core.integer import refine_integer_partition, round_partition
 from repro.core.solver import SolveResult, Solver
 from repro.platform.faults import DeviceDrop, FaultPlan
@@ -125,8 +124,11 @@ class Episode:
     """An ``n``-panel run that re-plans on drops (and, per policy, on drift).
 
     The baseline plan is one FPM solve over every unit's model, rounded,
-    refined and realised; the solve heads the warm chain.  ``pricing``
-    (a :class:`~repro.runtime.recovery.RecoveryPolicy`) prices every plan
+    refined and realised, memoised on the app per ``n``
+    (:meth:`~repro.app.matmul.HybridMatMul.fpm_baseline`), so only the
+    first episode of an app and ``n`` pays for it; the solve heads the
+    warm chain.  ``pricing`` (a
+    :class:`~repro.runtime.recovery.RecoveryPolicy`) prices every plan
     switch.  Subclasses override the hooks and call :meth:`adopt` before
     :meth:`run`.
     """
@@ -145,13 +147,10 @@ class Episode:
         self.unit_names = tuple(u.name for u in self.units)
         self.drops = validated_drops(drops, self.unit_names)
         self.solver = Solver()
-        self.initial = self.solver.solve(
-            [as_speed_function(m) for m in app.models_for(self.units)],
-            float(n * n),
-        )
-        self.baseline_allocations = self.allocations(self.initial)
+        self.initial, plan = app.fpm_baseline(n)
+        self.baseline_allocations = plan.unit_allocations
         self.state = EpisodeState(
-            plan=app.plan_from_unit_allocations(n, self.baseline_allocations),
+            plan=plan,
             alive=set(self.unit_names),
             comm=SimulatedComm(app.binding.num_processes, app.comm_model),
             warm=(self.initial, self.unit_names),

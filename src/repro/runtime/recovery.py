@@ -35,6 +35,7 @@ from repro.runtime.episode import (
     plan_switch_cost,
 )
 from repro.runtime.event_sim import EventSimulator
+from repro.runtime.process import iteration_times
 from repro.util.validation import check_in, check_nonnegative, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (app imports runtime)
@@ -108,13 +109,17 @@ def _observed_unit_times(units, processes, plan) -> list[float]:
     areas: dict[int, int] = {}
     for rect in plan.partition.rectangles:
         areas[rect.owner] = areas.get(rect.owner, 0) + rect.area
-    return [
-        max(
-            by_rank[rank].iteration_time(areas.get(rank, 0))
-            for rank in unit.member_ranks
+    ranks = [rank for unit in units for rank in unit.member_ranks]
+    times = dict(
+        zip(
+            ranks,
+            iteration_times(
+                [by_rank[rank] for rank in ranks],
+                [areas.get(rank, 0) for rank in ranks],
+            ),
         )
-        for unit in units
-    ]
+    )
+    return [max(times[rank] for rank in unit.member_ranks) for unit in units]
 
 
 class _RecoveryEpisode(Episode):

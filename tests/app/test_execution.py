@@ -41,8 +41,9 @@ class TestSimulateExecution:
         res = simulate_execution(processes, part, comm, node.block_size)
         by_rank = {p.rank: p for p in processes}
         for rank, t in enumerate(res.computation_time):
-            area = res.areas[rank]
-            assert t == pytest.approx(12 * by_rank[rank].iteration_time(area))
+            p = by_rank[rank]
+            once = p.kernel.run_time(res.areas[rank], p.busy_cpu_cores)
+            assert t == 12 * once
 
     def test_areas_match_partition(self, processes, comm, node):
         part = even_partition(12, len(processes))

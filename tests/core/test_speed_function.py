@@ -4,12 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fpm import FunctionalPerformanceModel
 from repro.core.serialization import fpm_from_dict, fpm_to_dict
 from repro.core.speed_function import SpeedFunction, SpeedSample
+
+
+#: Repairs to time 3.0 on all of [0.45, 3.0], then rises: a time plateau.
+PLATEAU = SpeedFunction.from_points(
+    [0.45, 0.5, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0], [0.15] + [1.0] * 10
+)
 
 
 def fn(points, bounded=False):
@@ -265,6 +271,7 @@ class TestProperties:
             assert g.time(x) <= budget * (1 + 1e-6)
 
     @given(speed_functions(), st.floats(min_value=1e-3, max_value=1e4))
+    @example(PLATEAU, 3.0)
     @settings(max_examples=100)
     def test_exact_inverse_agrees_with_bisection(self, f, budget):
         """The closed-form segment inversion equals numerical bisection."""
@@ -313,6 +320,7 @@ class TestRayIntersection:
         assert f.size_at_ray(5.0) == pytest.approx(10.0)
 
     @given(speed_functions(), st.floats(min_value=1e-3, max_value=1e3))
+    @example(PLATEAU, 1.0 / 3.0)
     @settings(max_examples=100)
     def test_exact_ray_agrees_with_bisection(self, f, slope):
         g = f.with_monotonic_time()
@@ -320,7 +328,21 @@ class TestRayIntersection:
             return  # non-monotone: only the bisection path exists
         exact = g._ray_exact(slope, math.inf)
         numeric = g._ray_bisect(slope, math.inf)
-        assert exact == pytest.approx(numeric, rel=1e-6, abs=1e-6)
+        if exact != pytest.approx(numeric, rel=1e-6, abs=1e-6):
+            # a time plateau at 1 / slope: bisection lands anywhere on it,
+            # the exact path answers its largest size
+            assert numeric < exact
+            for x in (numeric, exact):
+                assert g.time(x) == pytest.approx(1.0 / slope, rel=1e-9)
+            bigger = exact * (1 + 1e-6)
+            assert g.time(bigger) > 1.0 / slope * (1 + 1e-12)
+
+    def test_time_plateau_answers_its_largest_size(self):
+        """Time is 3.0 on all of [0.45, 3.0]: both inverses answer 3.0."""
+        g = PLATEAU.with_monotonic_time()
+        assert g._knot_times()[:5] == [3.0] * 5
+        assert g.max_size_within_time(3.0) == 3.0
+        assert g.size_at_ray(1.0 / 3.0) == 3.0
 
     def test_inverse_memo_returns_identical_results(self):
         f = fn([(1, 10), (2, 20), (4, 15)])

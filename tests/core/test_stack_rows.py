@@ -11,9 +11,11 @@ irregular rows fall back to the scalar inverse in every kernel).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.batch import BatchSpeedModels
@@ -139,28 +141,38 @@ def test_times_at_equals_the_scalar_time_kernel(fns, data):
     assert batch.times_at(sizes).tobytes() == want.tobytes()
 
 
-@given(models, st.data())
-def test_with_updates_on_one_pass_batch_equals_fresh_build(fns, data):
+@st.composite
+def updates(draw):
+    """Models, replacements for some of them, and the indices dropped."""
+    fns = draw(models)
+    p = len(fns)
+    replaced = draw(st.lists(st.integers(0, p - 1), unique=True, max_size=p))
+    reps = {i: draw(raw_speed_function()) for i in replaced}
+    keep = [i for i in range(p) if i not in reps]
+    max_drop = len(keep) if reps else len(keep) - 1
+    dropped = (
+        draw(st.lists(st.sampled_from(keep), unique=True, max_size=max_drop))
+        if max_drop > 0
+        else []
+    )
+    return fns, reps, dropped
+
+
+#: A bounded row whose time dips (bisection inverse) and ends below 1.0.
+SMALL_BOUNDED = SpeedFunction.from_points([0.5, 0.75], [1.0, 2.0], bounded=True)
+UNIT = SpeedFunction.from_points([1.0], [1.0])
+
+
+@given(updates())
+@example(([UNIT] * 8, {**{i: UNIT for i in range(6)}, 6: SMALL_BOUNDED}, []))
+def test_with_updates_on_one_pass_batch_equals_fresh_build(case):
     """Replacing and dropping rows equals stacking the new list afresh.
 
     The derived batch may keep the parent's padding width, so compare
     every model's own columns plus every kernel's output.
     """
+    fns, reps, dropped = case
     batch = BatchSpeedModels(tuple(fns))
-    p = len(fns)
-    replaced = data.draw(
-        st.lists(st.integers(0, p - 1), unique=True, max_size=p)
-    )
-    reps = {i: data.draw(raw_speed_function()) for i in replaced}
-    keep = [i for i in range(p) if i not in reps]
-    max_drop = len(keep) if reps else len(keep) - 1
-    dropped = (
-        data.draw(
-            st.lists(st.sampled_from(keep), unique=True, max_size=max_drop)
-        )
-        if max_drop > 0
-        else []
-    )
     new_fns = [reps.get(i, fn) for i, fn in enumerate(fns) if i not in dropped]
     updated = batch.with_updates(reps, dropped)
     fresh = BatchSpeedModels(tuple(new_fns))
@@ -184,6 +196,22 @@ def test_with_updates_on_one_pass_batch_equals_fresh_build(fns, data):
         )
     sizes = np.minimum(50.0, fresh.caps)
     assert updated.times_at(sizes).tobytes() == fresh.times_at(sizes).tobytes()
+
+
+@given(raw_speed_function(), st.floats(min_value=1e-3, max_value=100.0))
+@example(SMALL_BOUNDED, 0.7)
+def test_bisection_inverses_stay_in_the_model_range(fn, budget):
+    """Both bisections start inside a bounded model's range.
+
+    Non-monotone rows invert by bisection; a bounded row ending below
+    size 1.0 must not be evaluated beyond its last sample.
+    """
+    assert SMALL_BOUNDED._knot_times() is None  # the bisection path
+    cap = fn.max_size if fn.bounded else math.inf
+    x = fn._invert_time_bisect(budget)
+    assert 0.0 <= x <= cap
+    assert x == 0.0 or fn.time(x) <= budget
+    assert 0.0 < fn._ray_bisect(1.0 / budget, math.inf) <= cap
 
 
 def test_build_leaves_models_untouched():

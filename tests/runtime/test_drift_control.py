@@ -141,8 +141,11 @@ class TestDriftController:
         with pytest.raises(ValueError):
             DriftController({"gpu0": 0.0})
         ctl = DriftController(self.EXPECTED)
-        with pytest.raises(ValueError):
-            ctl.observe({"gpu0": -1.0, "cpu0": 0.25})
+        for bad in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"observed_s\['gpu0'\]"):
+                ctl.observe({"gpu0": bad, "cpu0": 0.25})
+        with pytest.raises(TypeError):
+            ctl.observe({"gpu0": True, "cpu0": 0.25})
 
 
 class TestRunModes:

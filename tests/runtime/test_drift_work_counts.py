@@ -15,10 +15,17 @@ geometry is arranged on first read, which drift runs never do and
 recovery does once per adopted plan; a plan switch prices its broadcast
 in closed form, without an event engine; and a drift model resolves
 each device's profile once.
+
+The FPM baseline (solve, rounding, plan and its geometry) is memoised
+on the app per ``n``: the first episode on a fresh app pays for it
+once, later episodes pay nothing for it, and changing the models
+forgets it.  Tests that count the baseline's work therefore run on a
+fresh app whose model objects no other test has solved.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import pytest
@@ -28,6 +35,8 @@ from repro.app.matmul import HybridMatMul
 from repro.core import batch as batch_module
 from repro.core.batch import BatchSpeedModels
 from repro.core.geometry import ColumnPartition, column_based_partition
+from repro.core.serialization import fpm_from_dict, fpm_to_dict
+from repro.core.solver import Solver
 from repro.core.speed_function import SpeedFunction
 from repro.platform.drift import DriftModel, DriftSpec
 from repro.platform.faults import DeviceDrop
@@ -54,6 +63,18 @@ def app():
         max_blocks=1700.0, cpu_points=6, gpu_points=8, adaptive=False
     )
     return application
+
+
+def _fresh(app) -> HybridMatMul:
+    """A new app on copies of ``app``'s models: no memo, no cached batch."""
+    fresh = HybridMatMul(ig_icl_node(), seed=7, noise_sigma=0.01)
+    fresh.set_models(
+        {
+            name: fpm_from_dict(fpm_to_dict(model))
+            for name, model in app.build_models(max_blocks=1700.0).items()
+        }
+    )
+    return fresh
 
 
 def _run(app, drops=()):
@@ -91,15 +112,38 @@ def _changed_per_decision(result) -> list[int]:
 
 
 def test_a_decision_rescales_and_stacks_only_the_changed_units(app, monkeypatch):
-    _run(app)  # the base models' scalar rows are cached from here on
+    fresh = _fresh(app)
     scaled = _count(monkeypatch, SpeedFunction, "scaled")
     stacked = _count(monkeypatch, batch_module, "_stack_rows", rows=True)
-    result = _run(app)
+    first = sum(_changed_per_decision(_run(fresh)))
+    # the first episode stacks every unit for the baseline, then only
+    # each decision's changes
+    assert scaled[0] == first
+    assert stacked[0] == len(fresh.compute_units()) + first
+    result = _run(fresh)
     changed = _changed_per_decision(result)
     assert len(changed) >= 2 and sum(changed) > 0  # the ramp re-decides
-    assert scaled[0] == sum(changed)
-    # the initial solve stacks every unit; each decision only its changes
-    assert stacked[0] == len(result.unit_names) + sum(changed)
+    # a later episode reuses the baseline: it stacks only its changes
+    assert scaled[0] == first + sum(changed)
+    assert stacked[0] == len(result.unit_names) + first + sum(changed)
+
+
+@pytest.mark.parametrize("episode", ["drift", "recovery"])
+def test_an_episode_on_a_warm_app_makes_no_cold_solve(app, monkeypatch, episode):
+    fresh = _fresh(app)
+    solves = _count(monkeypatch, Solver, "solve")
+
+    def run():
+        if episode == "drift":
+            _run(fresh)
+        else:
+            run_with_recovery(fresh, N, (DeviceDrop(1.0, GTX),))
+
+    run()
+    assert solves[0] == 1  # the baseline, once
+    run()
+    run()
+    assert solves[0] == 1
 
 
 def _count_ideal_times(monkeypatch) -> list[int]:
@@ -156,13 +200,77 @@ def test_drift_runs_with_a_drop_build_no_geometry(app, monkeypatch, mode):
 def test_recovery_builds_exactly_the_geometries_it_reads(
     app, monkeypatch, strategy, drops
 ):
+    fresh = _fresh(app)
     built = _count(monkeypatch, ColumnPartition, "__init__")
-    result = run_with_recovery(
-        app, N, drops, RecoveryPolicy(strategy=strategy)
-    )
+    policy = RecoveryPolicy(strategy=strategy)
+    result = run_with_recovery(fresh, N, drops, policy)
     assert len(result.drops) == len(drops)
     # the app's iteration time reads each adopted plan's rectangles once
     assert built[0] == 1 + len(result.drops)
+    # the baseline plan, and so its geometry, is shared with later runs
+    run_with_recovery(fresh, N, drops, policy)
+    assert built[0] == 1 + 2 * len(result.drops)
+
+
+def test_simulate_execution_calls_each_kernel_once(app, monkeypatch):
+    """One ``run_time_batch`` call per distinct kernel, not per rank."""
+    plan = app.plan(N)
+    processes = app.processes()
+    kernels = {type(p.kernel) for p in processes}
+    calls = [0]
+    for kind in kernels:
+        original = kind.run_time_batch
+
+        def counted(self, *args, _original=original, **kwargs):
+            calls[0] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(kind, "run_time_batch", counted)
+    result = app.execute(plan)
+    assert all(area > 0 for area in result.areas)
+    # two GPUs and four sockets: 6 calls for 24 ranks
+    assert len(processes) == 24
+    assert calls[0] == len({id(p.kernel) for p in processes}) == 6
+
+
+class TestBaselineMemo:
+    """Changing an app's models forgets its FPM baselines."""
+
+    def test_plan_and_episode_share_one_baseline(self, app):
+        fresh = _fresh(app)
+        plan = fresh.plan(N)
+        assert fresh.plan(N) is plan
+        assert fresh.fpm_baseline(N)[1] is plan
+        result = run_with_recovery(fresh, N, ())
+        assert result.baseline_unit_allocations == plan.unit_allocations
+
+    def test_set_models_forgets_the_baseline(self, app):
+        fresh = _fresh(app)
+        plan = fresh.plan(N)
+        models = fresh.build_models(max_blocks=1700.0)
+        slow_gpu = dataclasses.replace(
+            models[GTX], speed_function=models[GTX].speed_function.scaled(0.5)
+        )
+        fresh.set_models({GTX: slow_gpu})
+        replanned = fresh.plan(N)
+        assert replanned is not plan
+        assert replanned.allocation_of(GTX) < plan.allocation_of(GTX)
+        result, _ = fresh.fpm_baseline(N)
+        assert slow_gpu.speed_function in result.warm.batch.fns
+
+    def test_building_a_new_unit_model_forgets_the_baseline(self, app):
+        fresh = _fresh(app)
+        plan = fresh.plan(N)
+        fresh.build_models(max_blocks=1700.0)  # adds nothing: memo kept
+        assert fresh.plan(N) is plan
+        del fresh._models[C870]
+        rebuilt = fresh.build_models(
+            max_blocks=1700.0, cpu_points=6, gpu_points=8, adaptive=False
+        )[C870]
+        replanned = fresh.plan(N)
+        assert replanned is not plan
+        result, _ = fresh.fpm_baseline(N)
+        assert rebuilt.speed_function in result.warm.batch.fns
 
 
 def test_plan_switch_cost_runs_no_event_engine(monkeypatch):
@@ -192,7 +300,7 @@ class TestPlanGeometry:
 
     def test_partition_is_the_column_geometry_built_once(self, app, monkeypatch):
         calls = _count(monkeypatch, matmul, "column_based_partition")
-        plan = app.plan(N)
+        plan = _fresh(app).plan(N)
         assert calls[0] == 0
         first = plan.partition
         assert plan.partition is first

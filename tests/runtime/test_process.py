@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.kernels.gemm_gpu import InCoreGpuGemmKernel
 from repro.measurement.binding import default_binding
-from repro.runtime.process import bind_processes
+from repro.runtime.process import DeviceBoundProcess, bind_processes, iteration_times
 
 
 @pytest.fixture()
@@ -47,11 +48,19 @@ class TestBindProcesses:
         assert by_rank[12].kernel.active_cores == 6  # full socket
 
     def test_iteration_time_zero_for_empty(self, processes):
-        assert processes[0].iteration_time(0) == 0.0
+        assert iteration_times(processes[:1], [0]) == [0.0]
 
     def test_iteration_time_positive(self, processes):
+        times = iteration_times(processes, [10.0] * len(processes))
+        assert all(t > 0.0 for t in times)
+
+    def test_cpu_ranks_of_a_socket_share_one_kernel(self, node, processes):
+        kernels = {}
         for p in processes:
-            assert p.iteration_time(10.0) > 0.0
+            if not p.is_dedicated:
+                kernels.setdefault(p.binding.socket_index, set()).add(id(p.kernel))
+        assert sorted(kernels) == list(range(node.num_sockets))
+        assert all(len(ids) == 1 for ids in kernels.values())
 
     def test_unloaded_cpu_removes_gpu_contention(self, node, devices):
         sockets, gpus = devices
@@ -66,3 +75,41 @@ class TestBindProcesses:
         procs = bind_processes(default_binding(node), sockets, gpus, gpu_version=1)
         dedicated = [p for p in procs if p.is_dedicated]
         assert all("v1" in p.kernel.name for p in dedicated)
+
+
+class TestIterationTimes:
+    """One pass over a plan's ranks equals each rank's own kernel run."""
+
+    def test_equals_each_rank_run_time_bit_for_bit(self, processes):
+        areas = [0, 3, 17.5, 0, 250, 1e4] * 4
+        times = iteration_times(processes, areas)
+        for p, area, t in zip(processes, areas, times):
+            want = p.kernel.run_time(area, p.busy_cpu_cores) if area else 0.0
+            assert t.hex() == want.hex()
+
+    def test_empty_areas_call_no_kernel(self, processes, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel called for an empty area")
+
+        for p in processes:
+            monkeypatch.setattr(type(p.kernel), "run_time_batch", refuse)
+        assert iteration_times(processes, [0] * len(processes)) == [0.0] * 24
+
+    def test_rejects_a_negative_area(self, processes):
+        with pytest.raises(ValueError, match="area_blocks"):
+            iteration_times(processes[:2], [5.0, -1.0])
+
+    def test_checks_the_kernel_range(self, processes, devices):
+        _, gpus = devices
+        kernel = InCoreGpuGemmKernel(gpus[0])
+        process = DeviceBoundProcess(processes[0].binding, kernel, 5)
+        inside = kernel.memory_limit_blocks / 2
+        assert iteration_times([process], [inside]) == [
+            kernel.run_time(inside, 5)
+        ]
+        with pytest.raises(ValueError, match="outside the valid range"):
+            iteration_times([process], [kernel.memory_limit_blocks * 2])
+
+    def test_rejects_mismatched_lengths(self, processes):
+        with pytest.raises(ValueError, match="2 areas for 3 processes"):
+            iteration_times(processes[:3], [1.0, 2.0])
