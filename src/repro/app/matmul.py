@@ -124,6 +124,8 @@ class HybridMatMul:
         self._processes: tuple[DeviceBoundProcess, ...] | None = None
         # n -> the FPM baseline: the held solve and the plan realised from it
         self._baselines: dict[int, tuple[SolveResult, MatMulPlan]] = {}
+        # n -> the fault-free run of that plan; forgotten with the baseline
+        self._baseline_runs: dict[int, ExecutionResult] = {}
 
     # ----------------------------------------------------------- topology
     def compute_units(self) -> list[ComputeUnit]:
@@ -172,10 +174,11 @@ class HybridMatMul:
     def set_models(self, models: dict[str, FunctionalPerformanceModel]) -> None:
         """Install pre-built models, keyed by compute-unit name.
 
-        Forgets every memoised FPM baseline (:meth:`fpm_baseline`).
+        Forgets every memoised FPM baseline (:meth:`fpm_baseline`) and
+        its run (:meth:`fpm_baseline_execution`).
         """
         self._models.update(models)
-        self._baselines.clear()
+        self._forget_baselines()
 
     def build_models(
         self,
@@ -189,7 +192,8 @@ class HybridMatMul:
         ``max_blocks`` should cover the largest allocation any unit may
         receive (the total block count of the largest planned problem is
         always safe).  Models are cached on the instance; adding one
-        forgets every memoised FPM baseline (:meth:`fpm_baseline`).
+        forgets every memoised FPM baseline (:meth:`fpm_baseline`) and
+        its run (:meth:`fpm_baseline_execution`).
         """
         check_positive("max_blocks", max_blocks)
         builder = FpmBuilder(self.bench)
@@ -210,7 +214,7 @@ class HybridMatMul:
                 )
             model = builder.build(kernel, grid, adaptive=adaptive, name=unit.name)
             self._models[unit.name] = model.repaired()
-            self._baselines.clear()
+            self._forget_baselines()
         return dict(self._models)
 
     def models_for(self, units: list[ComputeUnit]) -> list[FunctionalPerformanceModel]:
@@ -290,6 +294,23 @@ class HybridMatMul:
                 self.plan_from_unit_allocations(n, allocs),
             )
         return baseline
+
+    def fpm_baseline_execution(self, n: int) -> ExecutionResult:
+        """The fault-free simulated run of :meth:`fpm_baseline`'s plan.
+
+        :meth:`execute` on the memoised plan, memoised beside it and
+        forgotten with it: every recovery episode of an app and ``n``
+        starts from this run, so only the first one prices it.
+        """
+        run = self._baseline_runs.get(n)
+        if run is None:
+            run = self._baseline_runs[n] = self.execute(self.fpm_baseline(n)[1])
+        return run
+
+    def _forget_baselines(self) -> None:
+        """Drop every memoised baseline solve, plan and run (models changed)."""
+        self._baselines.clear()
+        self._baseline_runs.clear()
 
     def plan_from_unit_allocations(
         self,

@@ -21,7 +21,7 @@ from repro.platform.noise import NoiseModel
 from repro.util.validation import check_nonnegative
 
 
-def compose_timing(ideal_s, drift_time_factor, spike_factor, perturb):
+def compose_timing(ideal_s, drift_time_factor, spike_factor, perturb, *noise):
     """The ONE place the timing modifiers compose, in pinned order.
 
     ``(ideal x drift time-multiplier) -> noise perturbation -> x fault
@@ -31,14 +31,16 @@ def compose_timing(ideal_s, drift_time_factor, spike_factor, perturb):
     their bit-identity, which tests/measurement/test_timing_composition.py
     enforces with all three modifiers enabled at once.
 
-    ``perturb`` is the noise application (scalar
-    :meth:`~repro.platform.noise.NoiseModel.perturb` bound to its
-    context, or the batched twin); ``spike_factor`` may be a scalar or a
-    per-repetition array.  With ``drift_time_factor == 1.0`` and
-    ``spike_factor == 1.0`` the result is exactly ``perturb(ideal_s)`` —
-    drift-free fault-free timings are unchanged bit for bit.
+    ``perturb`` is the noise application, called as ``perturb(drifted,
+    *noise)``: scalar :meth:`~repro.platform.noise.NoiseModel.perturb`
+    bound to its context, the batched twin, or
+    :meth:`~repro.platform.noise.NoiseModel.apply` with noise already
+    drawn; ``spike_factor`` may be a scalar or a per-repetition array.
+    With ``drift_time_factor == 1.0`` and ``spike_factor == 1.0`` the
+    result is exactly ``perturb(ideal_s, *noise)`` — drift-free
+    fault-free timings are unchanged bit for bit.
     """
-    return perturb(ideal_s * drift_time_factor) * spike_factor
+    return perturb(ideal_s * drift_time_factor, *noise) * spike_factor
 
 
 @dataclass

@@ -132,10 +132,12 @@ class _RecoveryEpisode(Episode):
     def __init__(self, app, n, drops, policy: RecoveryPolicy) -> None:
         super().__init__(app, n, drops, policy)
         self.processes = app.processes()
-        self.adopt()
+        # the baseline plan's run is memoised on the app with the plan
+        self.execution = app.fpm_baseline_execution(n)
         self.fault_free_s = self.execution.total_time
 
     def adopt(self) -> None:
+        """Price a post-drop plan on the surviving processes."""
         from repro.app.execution import simulate_execution
 
         ranks = {r for u in self.alive_units() for r in u.member_ranks}

@@ -268,10 +268,14 @@ class PartitionService:
                 drift = DriftModel.from_spec(
                     request.drift_spec, seed=request.drift_seed
                 )
-                multipliers = {
-                    name: drift.speed_multiplier(name, request.drift_at_s)
-                    for name in models
-                }
+                multipliers = dict(
+                    zip(
+                        models,
+                        drift.speed_multipliers(
+                            list(models), request.drift_at_s
+                        ).tolist(),
+                    )
+                )
                 funcs = [
                     as_speed_function(m).scaled(multipliers[name])
                     if multipliers[name] != 1.0

@@ -94,17 +94,28 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _SHIFT_C)
 
 
-def fold_keys(keys: np.ndarray, names: Sequence[object]) -> np.ndarray:
+def component_keys(names: Sequence[object]) -> np.ndarray:
+    """The BLAKE2 keys of the path components ``names``, as uint64.
+
+    What :func:`fold_keys` folds in: a caller that folds the same
+    components again and again may keep this array and pass it instead.
+    """
+    return np.fromiter(map(_component_key, map(str, names)), np.uint64, len(names))
+
+
+def fold_keys(keys: np.ndarray, names: Sequence[object] | np.ndarray) -> np.ndarray:
     """One fold step: extend stream ``i`` (key ``keys[i]``) by ``names[i]``.
 
     Returns the uint64 keys of the child streams, ``mix(key ^
-    blake2(name))``; ``keys`` may also be one shared 0-d key.  Folding a
-    key that :func:`stream_keys` returned by one more component equals
-    asking :func:`stream_keys` for the longer path, bit for bit.
+    blake2(name))``; ``keys`` may also be one shared 0-d key, or a column
+    that broadcasts against ``names``.  ``names`` may be given as their
+    :func:`component_keys` (a uint64 array).  Folding a key that
+    :func:`stream_keys` returned by one more component equals asking
+    :func:`stream_keys` for the longer path, bit for bit.
     """
-    return _mix_array(
-        keys ^ np.fromiter(map(_component_key, map(str, names)), np.uint64, len(names))
-    )
+    if not (isinstance(names, np.ndarray) and names.dtype == np.uint64):
+        names = component_keys(names)
+    return _mix_array(keys ^ names)
 
 
 def _fold_leaves(key: int, parts: Sequence[tuple]) -> np.ndarray:

@@ -14,11 +14,11 @@ from repro.measurement.timer import compose_timing
 
 
 def panel_observer(drift, noise, n, unit_names):
-    """``observe(now, panel, ideals)`` with one scalar draw per unit."""
+    """``observe(now, panel, names, ideals)`` with one scalar draw per unit."""
 
-    def observe(now, panel, ideals):
+    def observe(now, panel, names, ideals):
         obs = {}
-        for name, ideal in ideals.items():
+        for name, ideal in zip(names, ideals):
             factor = drift.time_multiplier(name, now)
             if noise is None:
                 obs[name] = ideal * factor

@@ -50,8 +50,6 @@ class TestDriftControlPolicy:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"alpha": 0.0},
-            {"alpha": 1.5},
             {"slack": 0.0},
             {"threshold": 0.0},
             {"cooldown_panels": -1},

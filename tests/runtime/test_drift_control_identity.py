@@ -75,12 +75,11 @@ def test_replayed_panel_reuses_its_noise(app):
     observe = drift_control._panel_observer(
         DriftModel.from_spec("", seed=11), _noise(0.2), N, names
     )
-    ideals = {name: 0.5 for name in names}
-    first = observe(3.0, 7, ideals)
-    survivors = {name: 0.5 for name in names if name != C870}
-    replay = observe(9.0, 7, survivors)
+    first = observe(3.0, 7, tuple(names), [0.5] * len(names))
+    survivors = tuple(name for name in names if name != C870)
+    replay = observe(9.0, 7, survivors, [0.5] * len(survivors))
     assert replay == {name: first[name] for name in survivors}
-    assert observe(3.0, 8, ideals) != first
+    assert observe(3.0, 8, tuple(names), [0.5] * len(names)) != first
 
 
 def _counted_draws(monkeypatch):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.platform.drift import DriftModel
 from tests.service.conftest import FAST_MODEL, make_body
 
 
@@ -62,6 +63,34 @@ def test_drifted_answer_shifts_work_off_the_throttled_gpu(run_service):
     assert sum(payload["allocation"].values()) == pytest.approx(400.0)
     # drift scales the solve, not the build: one model set serves both
     assert payload["model_key"] == steady.json["model_key"]
+
+
+def test_drift_speeds_come_from_one_batched_query(run_service, monkeypatch):
+    spec = "jitter:*:sigma=0.2,w=0.5; burst:socket:p=0.5,x=2,len=0.25"
+    queries = []
+    batched = DriftModel.speed_multipliers
+
+    def counted(model, devices, t_s):
+        queries.append(list(devices))
+        return batched(model, devices, t_s)
+
+    monkeypatch.setattr(DriftModel, "speed_multipliers", counted)
+
+    async def scenario(svc):
+        return await svc.handle(
+            "POST", "/partition", _drift_body(spec, at_s=7.3, seed=5)
+        )
+
+    response = run_service(scenario)
+    assert response.status == 200
+    multipliers = response.json["drift"]["multipliers"]
+    assert queries == [list(multipliers)]
+    monkeypatch.undo()
+    model = DriftModel.from_spec(spec, seed=5)
+    assert multipliers == {
+        name: model.speed_multiplier(name, 7.3) for name in multipliers
+    }
+    assert len(set(multipliers.values())) > 1
 
 
 def test_drift_before_onset_matches_the_stationary_answer(run_service):

@@ -15,7 +15,14 @@ import repro.util.rng as rng_module
 from repro.platform.drift import DriftModel
 from repro.platform.faults import FaultPlan
 from repro.platform.noise import NoiseModel
-from repro.util.rng import RngStream, derive_seed, key_uniforms, stream_keys
+from repro.util.rng import (
+    RngStream,
+    component_keys,
+    derive_seed,
+    fold_keys,
+    key_uniforms,
+    stream_keys,
+)
 
 from tests.oracles import platform_events as oracle
 
@@ -103,6 +110,25 @@ class TestStreamKeys:
             for slot in range(slots):
                 assert draws[slot, i] == oracle.key_uniform(key, slot)
                 assert 0.0 <= draws[slot, i] < 1.0
+
+    @pytest.mark.property
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        prefixes=st.lists(names, min_size=1, max_size=4),
+        leaves=st.lists(names, min_size=1, max_size=8),
+    )
+    def test_a_broadcast_fold_of_kept_component_keys(self, seed, prefixes, leaves):
+        """Folding a column of keys against a row of names, given as names
+        or as their kept component keys, extends every pair's path."""
+        column = stream_keys(seed, (), prefixes)[:, None]
+        by_name = fold_keys(column, leaves)
+        by_key = fold_keys(column, component_keys(leaves))
+        assert by_name.shape == (len(prefixes), len(leaves))
+        assert np.array_equal(by_name, by_key)
+        for i, prefix in enumerate(prefixes):
+            for j, leaf in enumerate(leaves):
+                assert int(by_key[i, j]) == oracle.stream_key(seed, prefix, leaf)
 
 
 class TestRngStream:
