@@ -3,7 +3,7 @@
 The FPM partition is computed once from stationary speed functions;
 :mod:`repro.platform.drift` breaks that assumption with a mid-run
 throttle of the node's fastest device (the GTX680), and
-:mod:`repro.runtime.drift_control` answers with an EWMA/CUSUM change
+:mod:`repro.runtime.drift_control` answers with a CUSUM change
 detector plus a hysteresis-gated repartition.  This study sweeps the
 throttle *magnitude* (how far the device's speed falls) and, on the
 hysteresis axis, the CUSUM decision threshold, comparing three policies

@@ -18,7 +18,6 @@ from tests.oracles import platform_events as oracle
 class TestDeviceDrift:
     def test_default_profile_is_inert(self):
         assert STEADY.inert
-        assert not STEADY.stochastic
         assert STEADY.throttle_envelope(1e9) == 1.0
 
     def test_hard_step_envelope(self):
