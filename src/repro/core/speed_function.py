@@ -240,10 +240,41 @@ class SpeedFunction:
                 hi = mid
             if hi - lo <= 1e-12 * max(1.0, hi):
                 break
+        lo = self._plateau_end(lo, budget)
         if len(cache) > 1024:
             cache.clear()
         cache[budget] = lo
         return lo
+
+    def _plateau_end(self, x: float, budget: float) -> float:
+        """The far end of a time plateau at ``budget`` that ``x`` is on or below.
+
+        Where speed is proportional to size, time is constant along a
+        segment and every size on it fits a budget equal to that time; but
+        float noise of an ulp or two makes ``time(mid) <= budget`` flip at
+        random along it, so bisection may stop anywhere on the plateau.
+        Segments whose knot times both lie within rounding of the budget,
+        from the one holding ``x`` (or the next one) on, are walked to
+        their end, the largest size that fits.
+        """
+        sizes, speeds = self._points
+
+        def flat(k: int) -> bool:
+            return k + 1 < len(sizes) and all(
+                abs(sizes[j] / speeds[j] - budget) <= 1e-12 * budget
+                for j in (k, k + 1)
+            )
+
+        seg = bisect.bisect_right(sizes, x) - 1
+        if seg < 0:
+            return x
+        if not flat(seg):
+            # x may sit just below a plateau that starts at the next knot
+            seg += 1
+        while flat(seg):
+            seg += 1
+            x = sizes[seg]
+        return x
 
     def size_at_ray(self, slope: float, cap: float = math.inf) -> float:
         """Intersection of the speed curve with the ray ``s = slope * x``.

@@ -272,6 +272,7 @@ class TestProperties:
 
     @given(speed_functions(), st.floats(min_value=1e-3, max_value=1e4))
     @example(PLATEAU, 3.0)
+    @example(SpeedFunction.from_points([1.0, 1816.0, 2477.0], [1.0, 1.0, 2477 / 1816]), 1816.0)
     @settings(max_examples=100)
     def test_exact_inverse_agrees_with_bisection(self, f, budget):
         """The closed-form segment inversion equals numerical bisection."""
